@@ -70,9 +70,9 @@ def lie_from_matrices(mats: list[np.ndarray], labels=None) -> "sl.LieAlgebra":
     """Structure constants of a matrix Lie algebra given by a closed basis."""
     mode = nx.mode_of(mats[0])
     d = len(mats)
-    flat = [m.reshape(-1) for m in mats]
-    comms = [(mats[i] @ mats[j] - mats[j] @ mats[i]).reshape(-1)
-             for i in range(d) for j in range(d)]
+    stack = np.array(mats, dtype=mats[0].dtype)
+    flat = list(stack.reshape(d, -1))
+    comms = list(nx.commutators(stack, stack).reshape(d * d, -1))
     all_coords = nx.coordinates_in_span_many(flat, comms)
     tensor = nx.zeros((d, d, d), mode)
     for i in range(d):
@@ -88,13 +88,11 @@ def lts_from_matrices(mats: list[np.ndarray], labels=None) -> lt.LieTripleSystem
     """Structure tensor of the double commutator bracket on a closed span."""
     mode = nx.mode_of(mats[0])
     d = len(mats)
-    flat = [m.reshape(-1) for m in mats]
-    doubles = []
-    for i in range(d):
-        for j in range(d):
-            comm = mats[i] @ mats[j] - mats[j] @ mats[i]
-            for k in range(d):
-                doubles.append((comm @ mats[k] - mats[k] @ comm).reshape(-1))
+    n = mats[0].shape[0]
+    stack = np.array(mats, dtype=mats[0].dtype)
+    flat = list(stack.reshape(d, -1))
+    comms = nx.commutators(stack, stack).reshape(d * d, n, n)
+    doubles = list(nx.commutators(comms, stack).reshape(d * d * d, -1))
     all_coords = nx.coordinates_in_span_many(flat, doubles)
     tensor = nx.zeros((d, d, d, d), mode)
     pos = 0
@@ -107,6 +105,19 @@ def lts_from_matrices(mats: list[np.ndarray], labels=None) -> lt.LieTripleSystem
                     raise lt.LtsStructureError("span is not closed under double commutators")
                 tensor[i, j, k, :] = coords
     return lt.LieTripleSystem(d, tensor, mode, tuple(labels) if labels else None)
+
+
+def _conjugation_theta(mats: list[np.ndarray], j: np.ndarray) -> np.ndarray:
+    """theta in basis coordinates for conjugation by an involutive j (j = j^-1).
+
+    Column i holds the coordinates of j A_i j.
+    """
+    d = len(mats)
+    stack = np.array(mats, dtype=object)
+    images = nx.contract(nx.contract(stack, j, axes=([2], [0])), j, axes=([1], [1]))
+    images = images.transpose(0, 2, 1).reshape(d, -1)
+    coords = nx.coordinates_in_span_many(list(stack.reshape(d, -1)), list(images))
+    return np.array(coords, dtype=object).T
 
 
 # ----------------------------------------------------------------- LTS gallery
@@ -174,16 +185,8 @@ def u_symmetric_algebra(n: int) -> "sl.SymmetricLieAlgebra":
     realified i*Sym(n).
     """
     mats = unitary_basis_realified(n)
-    algebra = lie_from_matrices(mats)
-    j = conjugation_matrix_realified(n)
-    d = len(mats)
-    flat = [m.reshape(-1) for m in mats]
-    theta = nx.zeros((d, d), RATIONAL)
-    for i in range(d):
-        image = j @ mats[i] @ j
-        coords = nx.coordinates_in_span(flat, image.reshape(-1))
-        theta[:, i] = coords
-    return sl.SymmetricLieAlgebra(algebra, theta)
+    theta = _conjugation_theta(mats, conjugation_matrix_realified(n))
+    return sl.SymmetricLieAlgebra(lie_from_matrices(mats), theta)
 
 
 @cache
@@ -193,13 +196,7 @@ def so_symmetric_algebra(n: int) -> "sl.SymmetricLieAlgebra":
     algebra = lie_from_matrices(mats)
     j = nx.identity(n + 1, RATIONAL)
     j[n, n] = Fraction(-1)
-    d = len(mats)
-    flat = [m.reshape(-1) for m in mats]
-    theta = nx.zeros((d, d), RATIONAL)
-    for i in range(d):
-        coords = nx.coordinates_in_span(flat, (j @ mats[i] @ j).reshape(-1))
-        theta[:, i] = coords
-    return sl.SymmetricLieAlgebra(algebra, theta)
+    return sl.SymmetricLieAlgebra(algebra, _conjugation_theta(mats, j))
 
 
 def flip_symmetric_algebra(g: "sl.LieAlgebra") -> "sl.SymmetricLieAlgebra":
@@ -230,11 +227,7 @@ def su2_symmetric_algebra() -> "sl.SymmetricLieAlgebra":
     dmat = nx.zeros((2, 2), RATIONAL)
     dmat[0, 0], dmat[1, 1] = Fraction(1), Fraction(-1)
     j = nx.realify(dmat, zero)
-    flat = [m.reshape(-1) for m in mats]
-    theta = nx.zeros((3, 3), RATIONAL)
-    for i in range(3):
-        theta[:, i] = nx.coordinates_in_span(flat, (j @ mats[i] @ j).reshape(-1))
-    return sl.SymmetricLieAlgebra(algebra, theta)
+    return sl.SymmetricLieAlgebra(algebra, _conjugation_theta(mats, j))
 
 
 def broken_symmetric_algebra() -> tuple["sl.LieAlgebra", np.ndarray]:

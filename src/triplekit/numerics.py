@@ -4,6 +4,16 @@ Every array in this package is either *rational* (numpy object arrays holding
 ``fractions.Fraction`` entries, decisions made with no tolerance) or *float*
 (float64, decisions made against a ``TolerancePolicy``).  The mode of an array
 is carried by its dtype; mixing modes inside one array is not supported.
+
+Exact arrays stay ``Fraction`` at the API, but contractions and zero tests do
+not run on ``Fraction`` objects.  ``numerators`` clears an exact array to
+integer numerators over one common denominator; ``contract_numerators`` runs
+``tensordot`` on those in int64 when an a-priori bound rules out overflow and
+on Python ints (which grow instead of wrapping, and need no gcd) otherwise.
+``contract`` chains the two and rescales the result to ``Fraction`` once.
+Decision kernels test defects for zero on the numerators directly, and
+``defect_size`` turns the largest one into an exact ``Fraction``.  Float
+arrays pass through all of these with denominator 1.
 """
 
 from __future__ import annotations
@@ -100,6 +110,120 @@ def max_abs(a: np.ndarray) -> float:
     if mode_of(a) == RATIONAL:
         return max(abs(float(x)) for x in a.reshape(-1))
     return float(np.max(np.abs(a)))
+
+
+# An integer contraction runs in int64 only while its a-priori bound stays
+# below this; numpy's int64 products wrap silently past 2**63.
+INT64_BOUND = 2 ** 62
+
+
+def numerators(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """Integer numerators over one common denominator.
+
+    Returns (n, s) with a == n / s entrywise, where s >= 1 is the lcm of the
+    entry denominators and n is an object array of Python ints.  Float arrays
+    pass through as (a, 1).
+    """
+    if mode_of(a) == FLOAT:
+        return a, 1
+    flat = a.reshape(-1)
+    s = math.lcm(*[x.denominator for x in flat])
+    n = np.array([x.numerator * (s // x.denominator) for x in flat], dtype=object)
+    return n.reshape(a.shape), s
+
+
+def rescale(n: np.ndarray, s: int) -> np.ndarray:
+    """Inverse of numerators: the Fraction array n / s; float arrays pass through."""
+    if n.dtype.kind == "f":
+        return n
+    if s == 1:
+        out = [Fraction(int(v)) for v in n.reshape(-1)]
+    else:
+        out = [Fraction(int(v), s) for v in n.reshape(-1)]
+    return np.array(out, dtype=object).reshape(n.shape)
+
+
+def _max_abs_int(n: np.ndarray) -> int:
+    """Largest absolute entry of an integer array (int64 or Python ints)."""
+    return int(np.max(np.abs(n))) if n.size else 0
+
+
+def _contracted_size(a: np.ndarray, axes) -> int:
+    if isinstance(axes, int):
+        return math.prod(a.shape[a.ndim - axes:])
+    ax = axes[0]
+    return math.prod(a.shape[i] for i in ([ax] if isinstance(ax, int) else ax))
+
+
+def contract_numerators(na: np.ndarray, nb: np.ndarray, axes=2, terms: int = 1) -> np.ndarray:
+    """np.tensordot of two numerator arrays from numerators, not rescaled.
+
+    Float arrays go straight to np.tensordot.  Integer arrays run in int64
+    when terms * k * max|a| * max|b| < 2**62 and each operand fits, with k
+    the product of the contracted sizes and terms the number of such
+    contractions the caller adds together; otherwise they run on Python
+    ints, which grow instead of wrapping.  The result is exact either way.
+    """
+    if na.dtype.kind == "f" or nb.dtype.kind == "f":
+        return np.tensordot(na, nb, axes)
+    ma, mb = _max_abs_int(na), _max_abs_int(nb)
+    # the operands must fit on their own too: an empty one makes the product 0
+    bound = max(terms * _contracted_size(na, axes) * ma * mb, ma, mb)
+    dtype = np.int64 if bound < INT64_BOUND else object
+    return np.tensordot(na.astype(dtype), nb.astype(dtype), axes)
+
+
+def contract(a: np.ndarray, b: np.ndarray, axes=2) -> np.ndarray:
+    """np.tensordot in either mode; exact operands give the exact result.
+
+    Exact operands are cleared to integer numerators, contracted by
+    contract_numerators and rescaled once.  Mixed modes raise ModeError.
+    """
+    if mode_of(a) != mode_of(b):
+        raise ModeError("contract needs both operands in one mode")
+    na, sa = numerators(a)
+    nb, sb = numerators(b)
+    return rescale(contract_numerators(na, nb, axes), sa * sb)
+
+
+def commutators(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """[L_i, R_j] = L_i R_j - R_j L_i for stacks of square matrices.
+
+    left has shape (p, n, n) and right (q, n, n); the result has shape
+    (p, q, n, n) and comes from two batched contractions.
+    """
+    if mode_of(left) != mode_of(right):
+        raise ModeError("commutators need both stacks in one mode")
+    nl, sl = numerators(left)
+    nr, sr = numerators(right)
+    lr = contract_numerators(nl, nr, ([2], [1]), terms=2).transpose(0, 2, 1, 3)
+    rl = contract_numerators(nr, nl, ([2], [1]), terms=2).transpose(2, 0, 1, 3)
+    return rescale(lr - rl, sl * sr)
+
+
+def difference(a: np.ndarray, sa: int, b: np.ndarray, sb: int) -> tuple[np.ndarray, int]:
+    """Numerators and denominator of a / sa - b / sb, over lcm(sa, sb).
+
+    Integer arrays move to Python ints when a rescaled term could reach
+    2**62; float arrays (denominator 1) subtract directly.
+    """
+    s = math.lcm(sa, sb)
+    fa, fb = s // sa, s // sb
+    if (fa != 1 or fb != 1) and fa * _max_abs_int(a) + fb * _max_abs_int(b) >= INT64_BOUND:
+        a, b = a.astype(object), b.astype(object)
+    return a * fa - b * fb, s
+
+
+def defect_size(n: np.ndarray, s: int = 1):
+    """Largest absolute entry of a defect n / s.
+
+    Integer numerators give the exact Fraction max|n| / s, so a zero test
+    on it is exact and float() of it is correctly rounded; float arrays give
+    a float.
+    """
+    if n.dtype.kind == "f":
+        return max_abs(n)
+    return Fraction(_max_abs_int(n), s)
 
 
 def rref(a: np.ndarray, pivot_limit: int | None = None) -> tuple[np.ndarray, list[int]]:
@@ -203,6 +327,17 @@ def solve_exact(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     for r_idx, p in enumerate(pivots):
         x[p] = red[r_idx, cols]
     return x
+
+
+def inverse(a: np.ndarray) -> np.ndarray:
+    """Matrix inverse in either mode; exact mode uses one augmented row reduction."""
+    if mode_of(a) == FLOAT:
+        return np.linalg.inv(a)
+    n = a.shape[0]
+    red, pivots = rref(np.concatenate([a, identity(n, RATIONAL)], axis=1), pivot_limit=n)
+    if len(pivots) < n:
+        raise np.linalg.LinAlgError("Singular matrix")
+    return red[:, n:]
 
 
 def coordinates_in_span(basis: list[np.ndarray], v: np.ndarray,

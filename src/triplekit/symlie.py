@@ -54,32 +54,47 @@ class LieAlgebra:
 
 
 def lie_bracket_eval(g: LieAlgebra, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    t = np.tensordot(x, g.tensor, axes=(0, 0))
-    return np.tensordot(y, t, axes=(0, 0))
+    t = nx.contract(x, g.tensor, axes=(0, 0))
+    return nx.contract(y, t, axes=(0, 0))
 
 
 def verify_lie_axioms(g: LieAlgebra, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> AxiomReport:
-    """Antisymmetry and the Jacobi identity on basis tuples."""
-    c = g.tensor
-    anti = c + c.transpose(1, 0, 2)
-    jac = np.tensordot(c, c, axes=([2], [0]))
-    jac = jac + jac.transpose(2, 0, 1, 3) + jac.transpose(1, 2, 0, 3)
-    worst = max(nx.max_abs(anti), nx.max_abs(jac))
+    """Antisymmetry and the Jacobi identity on basis tuples.
+
+    Exact mode runs both on the integer numerators of the tensor and demands
+    zero defect; float mode compares against eq_tol.
+    """
+    c, s = nx.numerators(g.tensor)
+    anti = nx.defect_size(c + c.transpose(1, 0, 2), s)
+    jac = nx.contract_numerators(c, c, axes=([2], [0]), terms=3)
+    jac = nx.defect_size(jac + jac.transpose(2, 0, 1, 3) + jac.transpose(1, 2, 0, 3), s * s)
+    worst = max(anti, jac)
     threshold = 0.0 if g.mode == RATIONAL else tol.eq_tol
     name = None
     if worst > threshold:
-        name = "antisymmetry" if nx.max_abs(anti) >= nx.max_abs(jac) else "jacobi"
-    return AxiomReport(worst <= threshold, worst, name)
+        name = "antisymmetry" if anti >= jac else "jacobi"
+    return AxiomReport(worst <= threshold, float(worst), name)
 
 
-def _automorphism_defect(g: LieAlgebra, theta: np.ndarray) -> float:
-    """Worst entry of theta[x, y] - [theta x, theta y] over basis pairs."""
-    c = g.tensor
-    lhs = np.tensordot(c, theta, axes=([2], [1]))            # [i,j,m]
-    t1 = np.tensordot(theta, c, axes=([0], [0]))             # [i,b,l]
-    rhs = np.tensordot(theta, t1, axes=([0], [1]))           # [j,i,l]
+def _square_defect(theta: np.ndarray):
+    """Worst entry of theta^2 - 1; exact (a Fraction) on integer numerators."""
+    n, s = nx.numerators(theta)
+    sq = nx.contract_numerators(n, n, axes=1)
+    return nx.defect_size(*nx.difference(sq, s * s, np.eye(len(n), dtype=sq.dtype), 1))
+
+
+def _automorphism_defect(g: LieAlgebra, theta: np.ndarray):
+    """Worst entry of theta[x, y] - [theta x, theta y] over basis pairs.
+
+    Exact (a Fraction) on integer numerators, a float in float mode.
+    """
+    c, sc = nx.numerators(g.tensor)
+    t, st = nx.numerators(theta)
+    lhs = nx.contract_numerators(c, t, axes=([2], [1]))           # [i,j,m]
+    t1 = nx.contract_numerators(t, c, axes=([0], [0]))            # [i,b,l]
+    rhs = nx.contract_numerators(t, t1, axes=([0], [1]))          # [j,i,l]
     rhs = rhs.transpose(1, 0, 2)
-    return nx.max_abs(lhs - rhs)
+    return nx.defect_size(*nx.difference(lhs, sc * st, rhs, sc * st * st))
 
 
 @dataclass(frozen=True)
@@ -99,8 +114,7 @@ class SymmetricLieAlgebra:
         if nx.mode_of(self.theta) != g.mode:
             raise lt.ModeMismatchError("theta mode does not match the algebra")
         thr = 0.0 if g.mode == RATIONAL else DEFAULT_TOLERANCE.eq_tol
-        sq = self.theta @ self.theta - nx.identity(g.dim, g.mode)
-        if nx.max_abs(sq) > thr:
+        if _square_defect(self.theta) > thr:
             raise InvolutionDefectError("theta squared is not the identity")
         if _automorphism_defect(g, self.theta) > thr:
             raise InvolutionDefectError("theta is not an automorphism")
@@ -145,21 +159,22 @@ def triple_from_involution(g: LieAlgebra, theta: np.ndarray,
     system together with the eigenspace basis used as its coordinates.
     """
     thr = 0.0 if g.mode == RATIONAL else tol.eq_tol
-    sq = theta @ theta - nx.identity(g.dim, g.mode)
-    if nx.max_abs(sq) > thr:
+    if _square_defect(theta) > thr:
         raise InvolutionDefectError("theta squared is not the identity")
     minus = lt.subspace_from_vectors(
         g.dim, nx.nullspace(theta + nx.identity(g.dim, g.mode), tol), g.mode, tol)
     d = minus.dim
     tensor = nx.zeros((d, d, d, d), g.mode)
     flat = list(minus.basis)
-    bmat = np.array(flat, dtype=flat[0].dtype) if flat else nx.zeros((0, g.dim), g.mode)
-    c = g.tensor
-    # [[b_i, b_j], b_k] for all i, j, k in one contraction chain
-    inner = np.tensordot(bmat, c, axes=(1, 0))
-    inner = np.tensordot(bmat, inner, axes=(1, 1)).transpose(1, 0, 2)
-    dbl = np.tensordot(inner, c, axes=(2, 0))
-    dbl = np.tensordot(dbl, bmat, axes=(2, 1)).transpose(0, 1, 3, 2)
+    b, sb = nx.numerators(minus.basis)
+    c, sc = nx.numerators(g.tensor)
+    # [[b_i, b_j], b_k] for all i, j, k in one contraction chain on the
+    # numerators, rescaled once
+    inner = nx.contract_numerators(b, c, axes=(1, 0))
+    inner = nx.contract_numerators(b, inner, axes=(1, 1)).transpose(1, 0, 2)
+    dbl = nx.contract_numerators(inner, c, axes=(2, 0))
+    dbl = nx.contract_numerators(dbl, b, axes=(2, 1)).transpose(0, 1, 3, 2)
+    dbl = nx.rescale(dbl, sb ** 3 * sc ** 2)
     targets = [dbl[i, j, k] for i in range(d) for j in range(d) for k in range(d)]
     all_coords = nx.coordinates_in_span_many(flat, targets, tol)
     pos = 0
@@ -189,7 +204,7 @@ def g_plus(g: LieAlgebra, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> LieTriple
     particular it contains the embedded center of g, which is verified here.
     """
     quarter = Fraction(1, 4) if g.mode == RATIONAL else 0.25
-    tensor = np.tensordot(g.tensor, g.tensor, axes=([2], [0])) * quarter
+    tensor = nx.contract(g.tensor, g.tensor, axes=([2], [0])) * quarter
     system = LieTripleSystem(g.dim, tensor, g.mode, g.labels)
     zg = lie_center(g, tol)
     zsys = lt.center(system, tol)
@@ -210,7 +225,7 @@ def symmetric_center(sla: SymmetricLieAlgebra,
     """Center of the algebra, with theta-invariance verified."""
     z = lie_center(sla.algebra, tol)
     for v in z.basis:
-        if not z.contains(sla.theta @ v, tol):
+        if not z.contains(nx.contract(sla.theta, v, axes=1), tol):
             raise InvolutionDefectError("center is not theta invariant")
     return z
 
@@ -258,10 +273,11 @@ def standard_embedding(m: LieTripleSystem,
     n = h + d
     flat_ops = [o.reshape(-1) for o in ops]
     tensor = nx.zeros((n, n, n), m.mode)
+    stack = np.array(ops, dtype=m.tensor.dtype).reshape(h, d, d)
+    comms = nx.commutators(stack, stack)
     for a in range(h):
         for b in range(h):
-            comm = ops[a] @ ops[b] - ops[b] @ ops[a]
-            coords = nx.coordinates_in_span(flat_ops, comm.reshape(-1), tol)
+            coords = nx.coordinates_in_span(flat_ops, comms[a, b].reshape(-1), tol)
             if coords is None:
                 raise AxiomDefectError("operator span is not closed under commutators")
             tensor[a, b, :h] = coords

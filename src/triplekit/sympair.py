@@ -38,12 +38,16 @@ class PairInputError(ValueError):
 @dataclass(frozen=True)
 class SigmaConjugation:
     matrix: np.ndarray
+    inverse: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "inverse", np.linalg.inv(self.matrix))
 
     def apply(self, g: np.ndarray) -> np.ndarray:
-        return self.matrix @ g @ np.linalg.inv(self.matrix)
+        return self.matrix @ g @ self.inverse
 
     def apply_tangent(self, x: np.ndarray) -> np.ndarray:
-        return self.matrix @ x @ np.linalg.inv(self.matrix)
+        return self.matrix @ x @ self.inverse
 
 
 @dataclass(frozen=True)
@@ -118,25 +122,21 @@ def derived_symmetric_algebra_float(pair: MatrixSymmetricPair) -> sl.SymmetricLi
 
 def _derive_sla(pair: MatrixSymmetricPair, mats, mode: str) -> sl.SymmetricLieAlgebra:
     d = len(mats)
-    flat = [m.reshape(-1) for m in mats]
-    comms = []
-    for i in range(d):
-        for j in range(d):
-            comm = mats[i] @ mats[j] - mats[j] @ mats[i]
-            comms.append(comm.reshape(-1))
-    images = []
-    for i in range(d):
-        if mode == RATIONAL and pair.exact_sigma_matrix is not None:
-            jm = pair.exact_sigma_matrix
-            jinv = _exact_inverse(jm)
-            image = jm @ mats[i] @ jinv
-        elif mode == RATIONAL:
-            # transpose-inverse sigma keeps rationality
-            image = -mats[i].T
-        else:
-            image = theta_tangent(pair, mats[i])
-        images.append(image.reshape(-1))
-    all_coords = nx.coordinates_in_span_many(flat, comms + images)
+    n = pair.ambient_n
+    stack = np.array(mats, dtype=mats[0].dtype)
+    flat = list(stack.reshape(d, n * n))
+    comms = list(nx.commutators(stack, stack).reshape(d * d, n * n))
+    if mode == RATIONAL and pair.exact_sigma_matrix is not None:
+        jm = pair.exact_sigma_matrix
+        # J A_i J^-1 for every basis matrix, with J inverted once
+        images = nx.contract(nx.contract(stack, nx.inverse(jm), axes=([2], [0])),
+                             jm, axes=([1], [1])).transpose(0, 2, 1)
+    elif mode == RATIONAL:
+        # transpose-inverse sigma keeps rationality
+        images = -stack.transpose(0, 2, 1)
+    else:
+        images = np.array([theta_tangent(pair, m) for m in mats])
+    all_coords = nx.coordinates_in_span_many(flat, comms + list(images.reshape(d, n * n)))
     tensor = nx.zeros((d, d, d), mode)
     for i in range(d):
         for j in range(d):
@@ -152,13 +152,6 @@ def _derive_sla(pair: MatrixSymmetricPair, mats, mode: str) -> sl.SymmetricLieAl
             raise PairInputError("theta does not preserve the Lie algebra span")
         theta[:, i] = coords
     return sl.SymmetricLieAlgebra(algebra, theta)
-
-
-def _exact_inverse(a: np.ndarray) -> np.ndarray:
-    n = a.shape[0]
-    eye = nx.identity(n, RATIONAL)
-    cols = [nx.solve_exact(a, eye[i]) for i in range(n)]
-    return np.array(cols, dtype=object).T
 
 
 def minus_triple(pair: MatrixSymmetricPair) -> tuple[lt.LieTripleSystem, lt.Subspace]:

@@ -5,6 +5,7 @@ implementation: plain Python loops, closed-form trigonometry, continued
 fractions.  Tests compare package output against these.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -76,6 +77,76 @@ def derivation_defect_loops(tensor):
                                 + sum(tensor[i, j, w, m] * tensor[u, v, m, l] for m in rng)
                             worst = max(worst, abs(float(lhs - rhs)))
     return worst
+
+
+def linear_defect_witness_loops(tensor, identity):
+    """Worst left-antisymmetry or cyclic-sum defect and the first (i, j, k, l),
+    in lexicographic order, attaining it; by naked loops over Fraction sums."""
+    d = tensor.shape[0]
+    worst, witness = 0.0, None
+    for i, j, k, l in itertools.product(range(d), repeat=4):
+        if identity == "left_antisymmetry":
+            v = tensor[i, j, k, l] + tensor[j, i, k, l]
+        else:
+            v = tensor[i, j, k, l] + tensor[j, k, i, l] + tensor[k, i, j, l]
+        if abs(float(v)) > worst:
+            worst, witness = abs(float(v)), (i, j, k, l)
+    return worst, witness
+
+
+def tensordot_loops(a, b, axes):
+    """np.tensordot by naked loops over every index, with Python arithmetic.
+
+    axes is a pair of index lists, contracted pairwise: a's axes[0][n] with
+    b's axes[1][n].  Fraction entries give the exact result.
+    """
+    ax_a, ax_b = axes
+    free_a = [i for i in range(a.ndim) if i not in ax_a]
+    free_b = [i for i in range(b.ndim) if i not in ax_b]
+    shape = [a.shape[i] for i in free_a] + [b.shape[i] for i in free_b]
+    out = np.empty(shape, dtype=object)
+    summed = [range(a.shape[i]) for i in ax_a]
+    for fa in itertools.product(*(range(a.shape[i]) for i in free_a)):
+        for fb in itertools.product(*(range(b.shape[i]) for i in free_b)):
+            total = 0
+            for c in itertools.product(*summed):
+                ia, ib = [0] * a.ndim, [0] * b.ndim
+                for pos, v in zip(free_a, fa):
+                    ia[pos] = v
+                for pos, v in zip(ax_a, c):
+                    ia[pos] = v
+                for pos, v in zip(free_b, fb):
+                    ib[pos] = v
+                for pos, v in zip(ax_b, c):
+                    ib[pos] = v
+                total = total + a[tuple(ia)] * b[tuple(ib)]
+            out[fa + fb] = total
+    return out
+
+
+def certify_morphism_loops(f, eq_tol=1e-9):
+    """Morphism test by a loop over every basis triple.
+
+    This is the d^3 loop certify_morphism ran before it became one comparison
+    of contractions, with brackets taken by triple_bracket_loops.  The
+    threshold is zero when source and target are both exact, eq_tol
+    otherwise.
+    """
+    src, tgt, matrix = f.source.tensor, f.target.tensor, f.matrix
+    ds, dt = src.shape[0], tgt.shape[0]
+    if dt == 0:
+        return True     # every bracket maps into the zero space
+    thr = 0.0 if src.dtype == object and tgt.dtype == object else eq_tol
+    eye = np.eye(ds, dtype=object) if src.dtype == object else np.eye(ds)
+    for i in range(ds):
+        for j in range(ds):
+            for k in range(ds):
+                lhs = matrix @ triple_bracket_loops(src, eye[i], eye[j], eye[k])
+                rhs = triple_bracket_loops(tgt, matrix @ eye[i], matrix @ eye[j],
+                                           matrix @ eye[k])
+                if max(abs(float(x)) for x in lhs - rhs) > thr:
+                    return False
+    return True
 
 
 def sphere_bracket_direct(x, y, z):

@@ -13,6 +13,8 @@ from triplekit import symlie as sl
 from triplekit import sympair as sp
 from triplekit.cli import main
 
+from oracles import antisymmetry_defect_loops, cyclic_defect_loops
+
 
 @pytest.fixture(scope="module")
 def gallery_dir(tmp_path_factory):
@@ -160,6 +162,38 @@ def test_quotient_out_is_loadable(gallery_dir, tmp_path, capsys):
     assert rc == 0
     qsys = jsonio.load(out)
     assert qsys.dim == 2
+
+
+@pytest.mark.parametrize("name", ["abelian2", "abelian3", "heisenberg_plus_quarter"])
+def test_quotient_by_full_center_exits_zero(gallery_dir, tmp_path, capsys, name):
+    out = tmp_path / "quot.json"
+    rc = main(["quotient", str(gallery_dir / f"lts_{name}.json"), "--out", str(out), "--json"])
+    assert rc == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["quotient_dim"] == 0 and report["certified"] is True
+    assert jsonio.load(out).dim == 0
+
+
+def perturbed_u3_minus():
+    m = fx.u_minus_lts(3)
+    tensor = m.tensor.copy()
+    tensor[0, 0, 1, 1] += Fraction(1)
+    return lt.LieTripleSystem(m.dim, tensor, m.mode, m.labels)
+
+
+@pytest.mark.parametrize("build", [fx.broken_lts, perturbed_u3_minus])
+def test_failing_check_json_is_byte_identical(tmp_path, capsys, build):
+    # the report the Fraction route printed: worst violation from the loop
+    # oracles, rendered by the same canonical JSON
+    m = build()
+    worst = max(antisymmetry_defect_loops(m.tensor), cyclic_defect_loops(m.tensor))
+    want = json.dumps({"dim": m.dim, "identity": "left_antisymmetry", "kind": "lts",
+                       "mode": "rational", "ok": False, "worst_violation": worst},
+                      sort_keys=True, separators=(",", ":")) + "\n"
+    path = tmp_path / "broken.json"
+    jsonio.save(path, m)
+    assert main(["check", str(path), "--json"]) == 1
+    assert capsys.readouterr().out == want
 
 
 def test_quotient_with_ideal_file(gallery_dir, tmp_path, capsys):

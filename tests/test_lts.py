@@ -6,11 +6,14 @@ import pytest
 from triplekit import numerics as nx
 from triplekit import lts as lt
 from triplekit import fixtures as fx
+from triplekit import symlie as sl
 
 from oracles import (
     antisymmetry_defect_loops,
+    certify_morphism_loops,
     cyclic_defect_loops,
     derivation_defect_loops,
+    linear_defect_witness_loops,
     sphere_bracket_direct,
     triple_bracket_loops,
 )
@@ -196,3 +199,76 @@ def test_doubling_map_not_a_morphism():
 def test_dimension_cap():
     with pytest.raises(lt.LtsStructureError):
         lt.LieTripleSystem(33, nx.zeros((33,) * 4, nx.RATIONAL), nx.RATIONAL)
+
+
+# ------------------------------------------- exact contractions, quotients
+
+@pytest.mark.parametrize("name", ["abelian2", "abelian3", "heisenberg_plus_quarter"])
+def test_quotient_by_full_center_is_zero_dimensional(name):
+    m = fx.lts_gallery()[name]
+    z = lt.center(m)
+    assert z.dim == m.dim
+    q, proj = lt.quotient(m, z)
+    assert q.dim == 0 and q.tensor.shape == (0, 0, 0, 0)
+    assert proj.matrix.shape == (0, m.dim)
+    assert proj.certified
+    assert lt.verify_axioms(q).ok
+
+
+def u3_minus_perturbed():
+    m = fx.u_minus_lts(3)
+    tensor = m.tensor.copy()
+    tensor[0, 0, 1, 1] += Fraction(1)
+    return lt.LieTripleSystem(m.dim, tensor, m.mode, m.labels)
+
+
+@pytest.mark.parametrize("build", [fx.broken_lts, u3_minus_perturbed])
+def test_failing_report_matches_loop_oracles(build):
+    m = build()
+    report = lt.verify_axioms(m)
+    anti, anti_at = linear_defect_witness_loops(m.tensor, "left_antisymmetry")
+    cyc, cyc_at = linear_defect_witness_loops(m.tensor, "cyclic_sum")
+    assert anti == antisymmetry_defect_loops(m.tensor)
+    assert cyc == cyclic_defect_loops(m.tensor)
+    # the antisymmetry defect is the worst one for both systems
+    assert not report.ok
+    assert report.identity == "left_antisymmetry"
+    assert report.worst_violation == anti == max(anti, cyc)
+    assert tuple(int(i) for i in report.witness) == anti_at
+
+
+def gallery_morphisms():
+    """Quotient projections and standard-embedding morphisms of the gallery."""
+    out = []
+    for name, m in sorted(fx.lts_gallery().items()):
+        _, proj = lt.quotient(m, lt.center(m))
+        out.append((f"quotient-{name}", proj))
+        out.append((f"embed-{name}", sl.standard_embedding(m).embedding))
+    return out
+
+
+def float_morphism(f):
+    return lt.LtsMorphism(f.source.to_float(), f.target.to_float(), nx.to_float(f.matrix))
+
+
+def perturbed(f, delta):
+    matrix = f.matrix.copy()
+    matrix[0, 0] = matrix[0, 0] + delta
+    return lt.LtsMorphism(f.source, f.target, matrix)
+
+
+def test_certify_morphism_matches_loop_oracle():
+    failing = 0
+    for label, f in gallery_morphisms():
+        for g in (f, float_morphism(f)):
+            want = certify_morphism_loops(g)
+            assert want, label
+            assert lt.certify_morphism(g).certified == want, label
+        if not any(x != 0 for x in f.target.tensor.reshape(-1)):
+            continue   # every linear map into an abelian system is a morphism
+        bad = perturbed(f, Fraction(1, 3))
+        failing += 1
+        for g in (bad, float_morphism(bad)):
+            assert not certify_morphism_loops(g), label
+            assert not lt.certify_morphism(g).certified, label
+    assert failing >= 10

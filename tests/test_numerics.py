@@ -6,7 +6,7 @@ import pytest
 
 from triplekit import numerics as nx
 
-from oracles import rotation_matrix, hand_rref_fractions
+from oracles import hand_rref_fractions, rotation_matrix, tensordot_loops
 
 EQ_EPS = 1e-9
 SEED = 42
@@ -135,3 +135,101 @@ def test_realify_multiplicative():
     left = nx.realify_complex(a) @ nx.realify_complex(b)
     right = nx.realify_complex(a @ b)
     assert np.max(np.abs(left - right)) < 1e-12
+
+
+# ------------------------------------------------------------ contract kernel
+
+def random_fraction_array(rng, shape, num=(-5, 6), den=(1, 7)):
+    flat = [Fraction(int(rng.integers(*num)), int(rng.integers(*den)))
+            for _ in range(math.prod(shape))]
+    return np.array(flat, dtype=object).reshape(shape)
+
+
+CONTRACTIONS = [
+    ((3, 4), (4, 2), ([1], [0])),
+    ((2, 3, 3), (3, 2, 3), ([1, 2], [2, 0])),
+    ((3, 3, 3, 3), (3, 3, 3, 3), ([3], [2])),
+    ((4,), (4, 3, 3), ([0], [0])),
+    ((2, 3), (3, 0), ([1], [0])),
+]
+
+
+@pytest.mark.parametrize("shape_a,shape_b,axes", CONTRACTIONS)
+def test_contract_matches_loop_oracle(shape_a, shape_b, axes):
+    rng = np.random.default_rng(SEED)
+    for _ in range(3):
+        a = random_fraction_array(rng, shape_a)
+        b = random_fraction_array(rng, shape_b)
+        _, sa = nx.numerators(a)
+        _, sb = nx.numerators(b)
+        assert sa * sb > 1 or a.size == 0 or b.size == 0   # common denominators in play
+        got = nx.contract(a, b, axes)
+        want = tensordot_loops(a, b, axes)
+        assert got.shape == want.shape and got.dtype == object
+        assert all(isinstance(x, Fraction) for x in got.reshape(-1))
+        assert all(x == y for x, y in zip(got.reshape(-1), want.reshape(-1)))
+
+
+def test_contract_python_int_fallback_is_exact():
+    # numerators near 3**25 * 840 fit int64 one by one, but their products
+    # put k * max|a| * max|b| far past 2**62, so an int64 contraction wraps;
+    # the kernel must fall back to Python ints and stay exact
+    rng = np.random.default_rng(SEED)
+    big = 3 ** 25
+    a = random_fraction_array(rng, (3, 4), den=(1, 8)) + big
+    b = random_fraction_array(rng, (4, 3), den=(1, 8)) * big
+    na, _ = nx.numerators(a)
+    nb, _ = nx.numerators(b)
+    assert 4 * max(map(abs, na.flat)) * max(map(abs, nb.flat)) >= nx.INT64_BOUND
+    got = nx.contract(a, b, 1)
+    want = tensordot_loops(a, b, ([1], [0]))
+    assert all(x == y for x, y in zip(got.reshape(-1), want.reshape(-1)))
+    wrapped = np.tensordot(na.astype(np.int64), nb.astype(np.int64), 1)
+    assert any(int(w) != int(n) for w, n in zip(wrapped.reshape(-1),
+                                                nx.contract_numerators(na, nb, 1).reshape(-1)))
+
+
+def test_contract_int64_bound_edge():
+    # just under the bound stays int64, at the bound moves to Python ints;
+    # both give the exact sum
+    m = 2 ** 30
+    a = nx.rational_array([[m, m]])
+    for top, dtype in ((2 ** 31 - 1, np.int64), (2 ** 31, object)):
+        b = nx.rational_array([[top], [top]])
+        n = nx.contract_numerators(nx.numerators(a)[0], nx.numerators(b)[0], 1)
+        assert n.dtype == dtype
+        assert nx.contract(a, b, 1)[0, 0] == 2 * m * top
+
+
+def test_contract_float_is_tensordot_and_modes_must_match():
+    rng = np.random.default_rng(SEED)
+    a = rng.standard_normal((3, 4, 2))
+    b = rng.standard_normal((4, 2, 5))
+    got = nx.contract(a, b, ([1, 2], [0, 1]))
+    assert got.dtype == float
+    assert np.array_equal(got, np.tensordot(a, b, ([1, 2], [0, 1])))
+    with pytest.raises(nx.ModeError):
+        nx.contract(nx.rational_array([[1, 2]]), np.ones((2, 1)), 1)
+
+
+def test_numerators_round_trip_and_inverse():
+    rng = np.random.default_rng(SEED)
+    a = random_fraction_array(rng, (4, 4))
+    n, s = nx.numerators(a)
+    assert s == math.lcm(*[x.denominator for x in a.reshape(-1)])
+    assert all(isinstance(x, int) for x in n.reshape(-1))
+    assert np.array_equal(nx.rescale(n, s), a)
+    a = a + nx.identity(4, nx.RATIONAL) * 10   # diagonally dominant, invertible
+    assert np.array_equal(nx.contract(nx.inverse(a), a, 1), nx.identity(4, nx.RATIONAL))
+    with pytest.raises(np.linalg.LinAlgError):
+        nx.inverse(nx.rational_array([[1, 2], [2, 4]]))
+
+
+def test_commutators_match_matrix_products():
+    rng = np.random.default_rng(SEED)
+    stack = random_fraction_array(rng, (3, 4, 4))
+    comms = nx.commutators(stack, stack)
+    for i in range(3):
+        for j in range(3):
+            want = stack[i] @ stack[j] - stack[j] @ stack[i]
+            assert np.array_equal(comms[i, j], want)

@@ -216,3 +216,13 @@ def test_identity_component_heuristic():
 def test_group_double_center_direction_is_central():
     pair = fx.group_double_pair(2)
     sp.central_odd_check(pair, fx.central_direction_group_double(2))
+
+
+def test_sigma_conjugation_inverts_once():
+    rng = np.random.default_rng(SEED)
+    j = fx.random_invertible(rng, 4)
+    sigma = sp.SigmaConjugation(j)
+    assert np.array_equal(sigma.inverse, np.linalg.inv(j))
+    g = rng.standard_normal((4, 4))
+    assert np.array_equal(sigma.apply(g), j @ g @ np.linalg.inv(j))
+    assert np.array_equal(sigma.apply_tangent(g), j @ g @ np.linalg.inv(j))
