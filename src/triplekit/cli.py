@@ -10,6 +10,7 @@ be used (missing file, malformed document, incompatible arguments).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -462,8 +463,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args keeps no state between calls: every call returns a fresh
+    # namespace filled from the defaults, so one parser serves every request
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except _INPUT_ERRORS as e:

@@ -18,6 +18,7 @@ honest Inconclusive.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -129,48 +130,84 @@ def _exact_subgroup(generators, config: SubgroupSearchConfig) -> KernelLattice:
 
 # -------------------------------------------------------------- float lattices
 
-def _gram_schmidt_norms(rows_float: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    n = rows_float.shape[0]
-    ortho = rows_float.astype(float).copy()
-    mu = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i):
-            denom = float(ortho[j] @ ortho[j])
-            mu[i, j] = float(rows_float[i] @ ortho[j]) / denom if denom > 0 else 0.0
-            ortho[i] = ortho[i] - mu[i, j] * ortho[j]
-    norms = np.array([float(o @ o) for o in ortho])
-    return mu, norms
+class _GramSchmidt:
+    """Float Gram-Schmidt data of integer rows, kept across reduction steps.
+
+    Row i of ortho, mu and norms depends only on rows 0..i, so changing row i
+    invalidates rows i onward and nothing before.  ensure(i) recomputes the
+    invalid rows up to i, each with the operations and in the order of a pass
+    from scratch, so every value equals, bit for bit, the one a full
+    recomputation would give.
+    """
+
+    def __init__(self, rows: list[list[int]]):
+        self.rows = rows  # shared with the caller, who edits it in place
+        n, m = len(rows), len(rows[0]) if rows else 0
+        self.floats = np.zeros((n, m))
+        self.ortho = np.zeros((n, m))
+        self.mu = np.zeros((n, n))
+        self.norms = np.zeros(n)  # squared lengths of the ortho rows
+        self.valid = 0
+
+    def invalidate(self, i: int) -> None:
+        self.valid = min(self.valid, i)
+
+    def ensure(self, i: int) -> None:
+        floats, ortho, mu, norms = self.floats, self.ortho, self.mu, self.norms
+        for r in range(self.valid, i + 1):
+            floats[r] = np.array(self.rows[r], dtype=float)
+            ortho[r] = floats[r]
+            for j in range(r):
+                denom = norms[j]
+                mu[r, j] = float(floats[r] @ ortho[j]) / denom if denom > 0 else 0.0
+                ortho[r] = ortho[r] - mu[r, j] * ortho[j]
+            norms[r] = float(ortho[r] @ ortho[r])
+        self.valid = max(self.valid, i + 1)
 
 
-def _lll_reduce_int(rows: list[list[int]], max_iters: int = 20000) -> list[list[int]]:
-    """Lattice reduction with exact integer rows and float Gram-Schmidt.
+@dataclass(frozen=True)
+class _Reduction:
+    basis: list[list[int]]
+    iterations: int
+    capped: bool          # max_iters stopped the reduction early
+    norms: np.ndarray     # squared Gram-Schmidt lengths of basis
 
-    Candidates extracted from the result are re-verified exactly, so float
-    round-off inside the reduction cannot corrupt verdicts.
+
+def _lll_reduce_int(rows: list[list[int]], max_iters: int = 20000) -> _Reduction:
+    """LLL reduction (delta = 0.99) of integer rows, Gram-Schmidt in float.
+
+    The rows stay exact integers and every step is unimodular, so the basis
+    always spans the input lattice; float round-off can only leave it less
+    reduced.  Nothing is re-verified exactly afterwards: the caller recomputes
+    each enumerated combination in float from its integer coefficients, and
+    the Discrete certificate reads the float Gram-Schmidt norms returned here.
+    The Gram-Schmidt data persists between steps: a size reduction of row k
+    recomputes row k, a swap of rows k-1 and k recomputes from row k-1 on.
     """
     b = [list(r) for r in rows]
     n = len(b)
-    if n <= 1:
-        return b
+    gs = _GramSchmidt(b)
+    mu, norms = gs.mu, gs.norms
     delta = 0.99
     iters = 0
     k = 1
     while k < n and iters < max_iters:
         iters += 1
-        bf = np.array(b, dtype=float)
-        mu, norms = _gram_schmidt_norms(bf)
+        gs.ensure(k)
         for j in range(k - 1, -1, -1):
             q = int(round(mu[k][j]))
             if q != 0:
                 b[k] = [x - q * y for x, y in zip(b[k], b[j])]
-                bf = np.array(b, dtype=float)
-                mu, norms = _gram_schmidt_norms(bf)
+                gs.invalidate(k)
+                gs.ensure(k)
         if norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
             k += 1
         else:
             b[k], b[k - 1] = b[k - 1], b[k]
+            gs.invalidate(k - 1)
             k = max(k - 1, 1)
-    return b
+    gs.ensure(n - 1)
+    return _Reduction(b, iters, k < n, norms)
 
 
 def _enumeration_window(k: int) -> int:
@@ -199,68 +236,65 @@ def _float_subgroup(generators, config: SubgroupSearchConfig) -> KernelLattice:
     for i, g in enumerate(gens):
         tail = [int(Fraction(float(x)) * scale) for x in g]
         rows.append([1 if j == i else 0 for j in range(k)] + tail)
-    reduced = _lll_reduce_int(rows)
+    reduction = _lll_reduce_int(rows)
 
-    window = _enumeration_window(k)
-    offsets = range(-window, window + 1)
-    seen: set[tuple[int, ...]] = set()
-    candidates: list[tuple[tuple[int, ...], np.ndarray, float]] = []
+    # candidates: small combinations of the reduced rows, then the raw
+    # generators, as integer coefficient vectors over the generators; the
+    # offset vectors in [-w, w]^k come one per row in itertools.product order
+    w = _enumeration_window(k)
+    combos = np.indices((2 * w + 1,) * k).reshape(k, -1).T - w
+    block = np.array([row[:k] for row in reduction.basis], dtype=object)
+    coeffs = nx.contract_numerators(combos, block, 1)
+    # block is unimodular, so distinct offsets give distinct coefficients and
+    # only opposite offsets give opposite ones: keep the first of each +-
+    # pair in product order, the one whose first nonzero offset is negative
+    lead = combos[np.arange(len(combos)), np.argmax(combos != 0, axis=1)]
+    unit = np.eye(k, dtype=np.int64)
+    fresh = [i for i in range(k) if not (coeffs == unit[i]).all(axis=1).any()]
+    coeffs = np.concatenate([coeffs[lead < 0], unit[fresh].astype(coeffs.dtype)])
+    coeffs = coeffs[np.abs(coeffs).max(axis=1) <= bound]
 
-    def consider(coeffs: tuple[int, ...]):
-        if not any(coeffs) or coeffs in seen:
-            return
-        seen.add(coeffs)
-        seen.add(tuple(-c for c in coeffs))
-        if max(abs(c) for c in coeffs) > bound:
-            return
-        v = np.zeros(d)
-        for c, g in zip(coeffs, gens):
-            v = v + c * g
-        candidates.append((coeffs, v, float(np.linalg.norm(v))))
-
-    import itertools
-    for combo in itertools.product(offsets, repeat=k):
-        acc = [0] * k
-        for c, row in zip(combo, reduced):
-            if c:
-                for idx in range(k):
-                    acc[idx] += c * row[idx]
-        consider(tuple(acc))
-    for i in range(k):  # raw generators themselves
-        consider(tuple(1 if j == i else 0 for j in range(k)))
-
-    max_coeff = max((max(abs(c) for c in cs) for cs, _, _ in candidates), default=1)
+    max_coeff = int(np.abs(coeffs).max()) if len(coeffs) else 1
     relation_floor = 64 * np.finfo(float).eps * max_coeff * gmax * math.sqrt(k)
 
-    witnesses = [(cs, v, nrm) for cs, v, nrm in candidates
-                 if relation_floor < nrm < eps]
+    # v = v + c_i * g_i over all candidates at once, in the per-vector order
+    vectors = np.zeros((len(coeffs), d))
+    as_float = coeffs.astype(float)
+    for i in range(k):
+        vectors = vectors + as_float[:, i:i + 1] * gmat[i]
+    # the batched norms may differ from np.linalg.norm in the last bits, so
+    # they only preselect; the decision reads np.linalg.norm of each vector
+    rough = np.sqrt(np.einsum("ij,ij->i", vectors, vectors))
+    witnesses = []
+    for r in np.flatnonzero(rough < 2.0 * eps):
+        nrm = float(np.linalg.norm(vectors[r]))
+        if relation_floor < nrm < eps:
+            witnesses.append((tuple(coeffs[r].tolist()), r, nrm))
+
+    meta = {"route": "integer_relation_search",
+            "lll_iterations": reduction.iterations,
+            "lll_capped": reduction.capped,
+            "candidates": len(coeffs),
+            "caveat": FINITE_DIMENSION_CAVEAT}
     if witnesses:
-        witnesses.sort(key=lambda t: (sum(c * c for c in t[0]), t[0]))
-        cs, v, nrm = witnesses[0]
+        cs, r, nrm = min(witnesses, key=lambda t: (sum(c * c for c in t[0]), t[0]))
+        v = vectors[r].copy()
         if cs[next(i for i, c in enumerate(cs) if c != 0)] < 0:
             cs = tuple(-c for c in cs)
             v = -v
-        w = Witness(cs, v, nrm)
-        return KernelLattice(d, tuple(gens), NON_DISCRETE_WITNESS, w,
-                             meta={"route": "integer_relation_search",
-                                   "relation_floor": relation_floor,
-                                   "caveat": FINITE_DIMENSION_CAVEAT})
+        return KernelLattice(d, tuple(gens), NON_DISCRETE_WITNESS, Witness(cs, v, nrm),
+                             meta={**meta, "relation_floor": relation_floor})
 
     # Discrete certificate: lambda_1 of the scaled lattice bounds every
     # bounded-coefficient combination from below
-    mu, norms = _gram_schmidt_norms(np.array(reduced, dtype=float))
+    norms = reduction.norms
     lambda1_lb = math.sqrt(float(np.min(norms))) if norms.size else 0.0
     reachable = math.sqrt(k * bound * bound
                           + (scale * 1e3 * eps + 0.5 * k * bound) ** 2)
-    if lambda1_lb > reachable:
-        return KernelLattice(d, tuple(gens), DISCRETE,
-                             meta={"route": "integer_relation_search",
-                                   "lambda1_lower_bound": lambda1_lb,
-                                   "caveat": FINITE_DIMENSION_CAVEAT})
-    return KernelLattice(d, tuple(gens), INCONCLUSIVE,
-                         meta={"route": "integer_relation_search",
-                               "lambda1_lower_bound": lambda1_lb,
-                               "caveat": FINITE_DIMENSION_CAVEAT})
+    verdict = DISCRETE if lambda1_lb > reachable else INCONCLUSIVE
+    return KernelLattice(d, tuple(gens), verdict,
+                         meta={**meta, "lambda1_lower_bound": lambda1_lb,
+                               "reachable": reachable})
 
 
 def subgroup_discreteness(generators, config: SubgroupSearchConfig = SubgroupSearchConfig()
@@ -481,7 +515,6 @@ def grid_loop_period_check(pair, grid_size: int, direction=None,
         g = nx.matrix_exp(v * dirf)
         in_kernel[v] = sp.in_fixed_group(pair, g, tol)
     interior = grid_size - 2
-    import itertools
     scanned = 0
     pointwise = []
     admissible = []

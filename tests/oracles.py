@@ -216,3 +216,143 @@ def hand_rref_fractions(rows):
         if r == nrows:
             break
     return m, pivots
+
+
+# The float subgroup search as it ran before the incremental Gram-Schmidt
+# and the batched enumeration: full Gram-Schmidt after every reduction step,
+# one Python call per enumerated combination.  Kept verbatim (names aside) so
+# that the package's rewrite can be held to the same floats.
+
+def gram_schmidt_norms_loops(rows_float):
+    n = rows_float.shape[0]
+    ortho = rows_float.astype(float).copy()
+    mu = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i):
+            denom = float(ortho[j] @ ortho[j])
+            mu[i, j] = float(rows_float[i] @ ortho[j]) / denom if denom > 0 else 0.0
+            ortho[i] = ortho[i] - mu[i, j] * ortho[j]
+    norms = np.array([float(o @ o) for o in ortho])
+    return mu, norms
+
+
+def lll_reduce_loops(rows, max_iters=20000):
+    b = [list(r) for r in rows]
+    n = len(b)
+    if n <= 1:
+        return b
+    delta = 0.99
+    iters = 0
+    k = 1
+    while k < n and iters < max_iters:
+        iters += 1
+        bf = np.array(b, dtype=float)
+        mu, norms = gram_schmidt_norms_loops(bf)
+        for j in range(k - 1, -1, -1):
+            q = int(round(mu[k][j]))
+            if q != 0:
+                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+                bf = np.array(b, dtype=float)
+                mu, norms = gram_schmidt_norms_loops(bf)
+        if norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
+            k += 1
+        else:
+            b[k], b[k - 1] = b[k - 1], b[k]
+            k = max(k - 1, 1)
+    return b
+
+
+def _enumeration_window(k):
+    if k <= 3:
+        return 6
+    if k <= 5:
+        return 2
+    return 1
+
+
+def float_subgroup_loops(generators, config):
+    """Float subgroup discreteness: LLL on the scaled relation lattice, then
+    one norm per enumerated combination of the reduced rows."""
+    from triplekit.periods import (DISCRETE, FINITE_DIMENSION_CAVEAT, INCONCLUSIVE,
+                                   NON_DISCRETE_WITNESS, KernelLattice, Witness)
+    gens = [np.asarray(g, dtype=float) for g in generators]
+    k = len(gens)
+    d = gens[0].shape[0]
+    if k > 8:
+        raise ValueError("float subgroup search supports at most 8 generators")
+    eps = config.epsilon
+    bound = config.coefficient_bound
+    gmat = np.array(gens)
+    gmax = max(1.0, float(np.max(np.abs(gmat))))
+
+    scale = int(math.ceil(8.0 * bound / eps))
+    rows = []
+    for i, g in enumerate(gens):
+        tail = [int(Fraction(float(x)) * scale) for x in g]
+        rows.append([1 if j == i else 0 for j in range(k)] + tail)
+    reduced = lll_reduce_loops(rows)
+
+    window = _enumeration_window(k)
+    offsets = range(-window, window + 1)
+    seen = set()
+    candidates = []
+
+    def consider(coeffs):
+        if not any(coeffs) or coeffs in seen:
+            return
+        seen.add(coeffs)
+        seen.add(tuple(-c for c in coeffs))
+        if max(abs(c) for c in coeffs) > bound:
+            return
+        v = np.zeros(d)
+        for c, g in zip(coeffs, gens):
+            v = v + c * g
+        candidates.append((coeffs, v, float(np.linalg.norm(v))))
+
+    for combo in itertools.product(offsets, repeat=k):
+        acc = [0] * k
+        for c, row in zip(combo, reduced):
+            if c:
+                for idx in range(k):
+                    acc[idx] += c * row[idx]
+        consider(tuple(acc))
+    for i in range(k):
+        consider(tuple(1 if j == i else 0 for j in range(k)))
+
+    max_coeff = max((max(abs(c) for c in cs) for cs, _, _ in candidates), default=1)
+    relation_floor = 64 * np.finfo(float).eps * max_coeff * gmax * math.sqrt(k)
+
+    witnesses = [(cs, v, nrm) for cs, v, nrm in candidates
+                 if relation_floor < nrm < eps]
+    if witnesses:
+        witnesses.sort(key=lambda t: (sum(c * c for c in t[0]), t[0]))
+        cs, v, nrm = witnesses[0]
+        if cs[next(i for i, c in enumerate(cs) if c != 0)] < 0:
+            cs = tuple(-c for c in cs)
+            v = -v
+        w = Witness(cs, v, nrm)
+        return KernelLattice(d, tuple(gens), NON_DISCRETE_WITNESS, w,
+                             meta={"route": "integer_relation_search",
+                                   "relation_floor": relation_floor,
+                                   "caveat": FINITE_DIMENSION_CAVEAT})
+
+    mu, norms = gram_schmidt_norms_loops(np.array(reduced, dtype=float))
+    lambda1_lb = math.sqrt(float(np.min(norms))) if norms.size else 0.0
+    reachable = math.sqrt(k * bound * bound
+                          + (scale * 1e3 * eps + 0.5 * k * bound) ** 2)
+    if lambda1_lb > reachable:
+        return KernelLattice(d, tuple(gens), DISCRETE,
+                             meta={"route": "integer_relation_search",
+                                   "lambda1_lower_bound": lambda1_lb,
+                                   "caveat": FINITE_DIMENSION_CAVEAT})
+    return KernelLattice(d, tuple(gens), INCONCLUSIVE,
+                         meta={"route": "integer_relation_search",
+                               "lambda1_lower_bound": lambda1_lb,
+                               "caveat": FINITE_DIMENSION_CAVEAT})
+
+
+def search_outcome(lat, meta_keys):
+    """Verdict, witness and the named meta entries, in a form == compares exactly."""
+    w = lat.witness
+    witness = None if w is None else (w.coefficients, w.vector.tobytes(), w.norm)
+    return lat.verdict, witness, {key: lat.meta[key] for key in meta_keys}

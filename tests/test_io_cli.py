@@ -1,11 +1,14 @@
 import json
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from triplekit import cli
 from triplekit import fixtures as fx
 from triplekit import jsonio
 from triplekit import lts as lt
@@ -260,6 +263,44 @@ def test_loop_demo_only_zero(gallery_dir, capsys):
                "--grid-size", "3", "--coords", "1,1,0,0"])
     assert rc == 0
     assert "only_zero_admissible: True" in capsys.readouterr().out
+
+
+def test_consecutive_calls_share_no_state(gallery_dir, capsys):
+    # main reuses one parser; defaults and options must not carry over
+    sqrt2 = ["period", "--subgroup", "1.0", "1.4142135623730951", "--json"]
+    assert main(sqrt2 + ["--epsilon", "1e-9"]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "Inconclusive"
+    assert main(["period", str(gallery_dir / "pair_u2_mod_o2.json"),
+                 "--coords", "1,1,0,0", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["route"] == "pair"
+    assert main(sqrt2) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "NonDiscreteWitness"
+    args = cli._parser().parse_args(["period", "pair.json", "--coords", "1,1,0,0"])
+    assert args.subgroup is None and args.epsilon == 1e-6 and not args.json
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def _readme_commands():
+    lines = (REPO / "README.md").read_text().splitlines()
+    return [shlex.split(line.split("#")[0])[1:] for line in lines
+            if line.startswith("triplekit ")]
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert len(commands) >= 10
+    for argv in commands:
+        cli.build_parser().parse_args(argv)  # an unknown flag exits 2
+
+
+def test_readme_subgroup_and_loop_examples_run(monkeypatch, capsys):
+    monkeypatch.chdir(REPO)
+    commands = [a for a in _readme_commands() if a[0] == "loop-demo" or "--subgroup" in a]
+    assert len(commands) == 2
+    for argv in commands:
+        assert main(argv) == 0, argv
 
 
 def test_console_entry_point_runs():

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from triplekit import fixtures as fx
+from triplekit import numerics as nx
 from triplekit import periods as pd
 from triplekit import sympair as sp
-from oracles import best_sqrt2_relation
+from oracles import (best_sqrt2_relation, float_subgroup_loops, gram_schmidt_norms_loops,
+                     lll_reduce_loops, search_outcome)
 
 CFG = pd.SubgroupSearchConfig(epsilon=1e-6, coefficient_bound=10 ** 6)
 CFG_EXACT = pd.SubgroupSearchConfig(mode="rational")
@@ -155,6 +157,112 @@ def test_exact_relation_is_not_a_witness():
 def test_single_generator_discrete():
     lat = pd.subgroup_discreteness([np.array([7.0])], CFG)
     assert lat.verdict == pd.DISCRETE
+
+
+# ------------------------------------------ float search against the loop oracle
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+SEARCH_CONFIGS = (CFG, pd.SubgroupSearchConfig(epsilon=1e-9, coefficient_bound=10 ** 6),
+                  pd.SubgroupSearchConfig(epsilon=1e-3, coefficient_bound=100))
+
+
+def _float_generators(family, k, d, rng):
+    if family == "lattice":  # rational lattice: integer rows over a denominator
+        mat = rng.integers(-4, 5, size=(k, d))
+        mat[~mat.any(axis=1), 0] = 1
+        return list(mat / int(rng.integers(1, 7)))
+    if family == "dense":  # s * {1, sqrt(p), ...}, primes may repeat
+        roots = [1.0] + [math.sqrt(p) for p in rng.choice(PRIMES, size=k * d - 1)]
+        return list(float(rng.uniform(0.5, 2.0)) * np.array(roots).reshape(k, d))
+    return list(rng.normal(size=(k, d)))
+
+
+@pytest.mark.parametrize("family", ["lattice", "dense", "gauss"])
+@pytest.mark.parametrize("k", range(1, 9))
+def test_float_search_matches_loop_oracle_exactly(family, k):
+    rng = np.random.default_rng([k, len(family)])
+    for d, cfg in zip((1, 2, 3), SEARCH_CONFIGS):
+        gens = _float_generators(family, k, d, rng)
+        old = float_subgroup_loops(gens, cfg)
+        new = pd.subgroup_discreteness(gens, cfg)
+        assert search_outcome(new, old.meta) == search_outcome(old, old.meta)
+
+
+def test_float_search_tie_breaks_match_loop_oracle():
+    # near-integer generators give many witnesses with equal sums of squares
+    # and zero entries, so the sign each candidate is kept with shows in the
+    # chosen coefficients and in the sign of zeros of the witness vector
+    rng = np.random.default_rng(0)
+    cfg = pd.SubgroupSearchConfig(epsilon=1e-3, coefficient_bound=100)
+    witnesses = 0
+    for _ in range(60):
+        k, d = int(rng.integers(2, 5)), int(rng.integers(1, 3))
+        gens = [rng.integers(-2, 3, size=d) + rng.integers(-3, 4, size=d) * 1e-5
+                for _ in range(k)]
+        gens = [g for g in gens if g.any()]
+        old = float_subgroup_loops(gens, cfg)
+        new = pd.subgroup_discreteness(gens, cfg)
+        assert search_outcome(new, old.meta) == search_outcome(old, old.meta)
+        witnesses += new.witness is not None
+    assert witnesses > 20
+
+
+def test_lll_reduction_matches_loop_oracle_exactly():
+    rng = np.random.default_rng(3)
+    for n in range(1, 9):
+        for magnitude in (10, 10 ** 13):
+            rows = rng.integers(-magnitude, magnitude, size=(n, n + 2)).tolist()
+            got = pd._lll_reduce_int(rows)
+            assert got.basis == lll_reduce_loops(rows)
+            assert not got.capped
+            _, norms = gram_schmidt_norms_loops(np.array(got.basis, dtype=float))
+            assert got.norms.tolist() == norms.tolist()
+
+
+def test_lll_reports_the_iteration_cap():
+    rows = np.random.default_rng(4).integers(-10 ** 13, 10 ** 13, size=(6, 8)).tolist()
+    full = pd._lll_reduce_int(rows)
+    assert full.iterations > 3 and not full.capped
+    cut = pd._lll_reduce_int(rows, max_iters=3)
+    assert (cut.iterations, cut.capped) == (3, True)
+    assert cut.basis == lll_reduce_loops(rows, max_iters=3)
+
+
+def test_float_search_on_python_int_coefficients(monkeypatch):
+    # the exact relation 1 - 2**70 * 2**-70 = 0 puts 2**70 into the reduced
+    # coefficients, beyond int64: the enumeration must run on Python ints
+    dtypes = []
+    contract = nx.contract_numerators
+
+    def spy(*args, **kwargs):
+        out = contract(*args, **kwargs)
+        dtypes.append(out.dtype)
+        return out
+
+    monkeypatch.setattr(nx, "contract_numerators", spy)
+    gens = [np.array([1.0]), np.array([2.0 ** -70])]
+    cfg = pd.SubgroupSearchConfig(epsilon=1e-6, coefficient_bound=10 ** 30)
+    new = pd.subgroup_discreteness(gens, cfg)
+    assert dtypes == [object]
+    old = float_subgroup_loops(gens, cfg)
+    assert search_outcome(new, old.meta) == search_outcome(old, old.meta)
+    assert new.meta["candidates"] > 0
+
+
+def test_float_search_explains_itself():
+    single = pd.subgroup_discreteness([np.array([7.0])], CFG)
+    # one generator: offsets -6..6 give six classes up to sign, e_0 among them
+    assert single.meta["candidates"] == 6
+    assert (single.meta["lll_iterations"], single.meta["lll_capped"]) == (0, False)
+    assert single.meta["lambda1_lower_bound"] > single.meta["reachable"]
+    strict = pd.SubgroupSearchConfig(epsilon=1e-9, coefficient_bound=10 ** 6)
+    unsure = pd.subgroup_discreteness([np.array([1.0]), np.array([math.sqrt(2.0)])], strict)
+    assert unsure.verdict == pd.INCONCLUSIVE
+    assert unsure.meta["lambda1_lower_bound"] <= unsure.meta["reachable"]
+    assert unsure.meta["lll_iterations"] > 0 and not unsure.meta["lll_capped"]
+    witness = pd.subgroup_discreteness([np.array([1.0]), np.array([math.sqrt(2.0)])], CFG)
+    assert witness.meta["candidates"] > 0
+    assert "reachable" not in witness.meta
 
 
 # --------------------------------------------------------- quotient criterion

@@ -1,5 +1,7 @@
-"""Property tests for the exact contraction kernel (need hypothesis)."""
+"""Property tests for the exact contraction kernel and the float subgroup
+search (need hypothesis)."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -9,8 +11,9 @@ hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
 from triplekit import numerics as nx  # noqa: E402
+from triplekit import periods as pd  # noqa: E402
 
-from oracles import tensordot_loops  # noqa: E402
+from oracles import float_subgroup_loops, search_outcome, tensordot_loops  # noqa: E402
 
 fractions = st.builds(Fraction, st.integers(-2 ** 70, 2 ** 70), st.integers(1, 2 ** 12))
 
@@ -44,3 +47,23 @@ def test_exact_and_float_routes_agree_on_integers(xs, ys):
     exact = nx.contract(a, b, ([2, 1], [0, 2]))
     float_ = nx.contract(nx.to_float(a), nx.to_float(b), ([2, 1], [0, 2]))
     assert np.array_equal(nx.to_float(exact), float_)
+
+
+@st.composite
+def subgroup_generators(draw):
+    k, d = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    entries = st.one_of(st.integers(-6, 6).map(float),
+                        st.sampled_from([math.sqrt(p) for p in (2, 3, 5, 7)]),
+                        st.floats(-8.0, 8.0, allow_nan=False, allow_subnormal=False))
+    vectors = st.lists(entries, min_size=d, max_size=d).filter(any)
+    return [np.array(v) for v in draw(st.lists(vectors, min_size=k, max_size=k))]
+
+
+@hypothesis.settings(max_examples=40, deadline=None)
+@hypothesis.given(subgroup_generators(),
+                  st.sampled_from([(1e-6, 10 ** 6), (1e-9, 10 ** 6), (1e-3, 100)]))
+def test_float_subgroup_search_matches_loop_oracle(gens, search):
+    cfg = pd.SubgroupSearchConfig(epsilon=search[0], coefficient_bound=search[1])
+    old = float_subgroup_loops(gens, cfg)
+    new = pd.subgroup_discreteness(gens, cfg)
+    assert search_outcome(new, old.meta) == search_outcome(old, old.meta)
