@@ -279,7 +279,9 @@ def nullspace(a: np.ndarray, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> list[n
     Rational mode parameterizes the free columns of the RREF, which gives a
     canonical basis with unit entries in the free positions.  Float mode takes
     the right singular vectors whose singular values fall below
-    rank_tol * sigma_max.
+    rank_tol * sigma_max.  Only a wide matrix needs the full V (its nullspace
+    lies past the last singular value); a tall one takes the reduced SVD,
+    whose V equals the full one, and never builds the rows x rows U.
     """
     rows, cols = a.shape
     if mode_of(a) == RATIONAL:
@@ -295,7 +297,7 @@ def nullspace(a: np.ndarray, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> list[n
         return basis
     if rows == 0:
         return [np.eye(cols)[i] for i in range(cols)]
-    _, s, vh = np.linalg.svd(a)
+    _, s, vh = np.linalg.svd(a, full_matrices=rows < cols)
     smax = s[0] if s.size else 0.0
     keep = [i for i in range(cols) if i >= s.size or s[i] <= tol.rank_tol * smax]
     return [vh[i].copy() for i in keep]
@@ -421,29 +423,37 @@ _PADE13 = (
 def matrix_exp(x: np.ndarray, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> np.ndarray:
     """Matrix exponential by scaling and squaring with the [13/13] Pade form.
 
+    x is one matrix, shape (n, n), or a stack of them, shape (k, n, n); the
+    result has the shape of x.  A single matrix is a stack of one, and each
+    slice gets its own 1-norm and squaring count, so slice i of a stacked
+    call equals matrix_exp(x[i]) bit for bit: the products are stacked @,
+    the solve is one LAPACK gesv per slice, and a slice is squared only
+    while its own count lasts.
+
     Rejects rational mode: the exponential is transcendental, so there is no
     exact-mode variant.  Accurate to eq_tol for inputs with norm up to ~50.
     """
     if mode_of(x) == RATIONAL:
         raise ModeError("matrix_exp requires float mode; the result is transcendental")
-    n = x.shape[0]
-    norm = float(np.linalg.norm(x, 1))
+    stack = x if x.ndim == 3 else x[np.newaxis]
     theta13 = 5.371920351148152
-    squarings = max(0, int(math.ceil(math.log2(norm / theta13))) if norm > theta13 else 0)
-    a = x / (2.0 ** squarings)
+    squarings = np.array([int(math.ceil(math.log2(norm / theta13))) if norm > theta13 else 0
+                          for norm in np.linalg.norm(stack, 1, axis=(1, 2))], dtype=int)
+    a = stack / (2.0 ** squarings)[:, np.newaxis, np.newaxis]
     b = _PADE13
     a2 = a @ a
     a4 = a2 @ a2
     a6 = a2 @ a4
-    ident = np.eye(n)
+    ident = np.eye(stack.shape[-1])
     u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
              + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
     v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) \
         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident
     r = np.linalg.solve(v - u, v + u)
-    for _ in range(squarings):
-        r = r @ r
-    return r
+    for step in range(int(squarings.max(initial=0))):
+        live = np.flatnonzero(squarings > step)
+        r[live] = r[live] @ r[live]
+    return r if x.ndim == 3 else r[0]
 
 
 class LogBranchError(ValueError):

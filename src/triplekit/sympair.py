@@ -53,7 +53,7 @@ class SigmaConjugation:
 @dataclass(frozen=True)
 class SigmaTransposeInverse:
     def apply(self, g: np.ndarray) -> np.ndarray:
-        return np.linalg.inv(g).T
+        return np.swapaxes(np.linalg.inv(g), -1, -2)
 
     def apply_tangent(self, x: np.ndarray) -> np.ndarray:
         return -x.T
@@ -204,11 +204,28 @@ def base_point(pair: MatrixSymmetricPair) -> CosetPoint:
     return CosetPoint(pair, np.eye(pair.ambient_n))
 
 
-def fixed_group_residual(pair: MatrixSymmetricPair, g: np.ndarray) -> float:
-    """Scale-free distance of a group element from the sigma-fixed subgroup."""
-    num = float(np.linalg.norm(pair.sigma.apply(g) - g))
-    den = max(float(np.linalg.norm(g)), 1e-300)
-    return num / den
+def _frobenius_slices(m: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each (n, n) slice, as np.linalg.norm computes it.
+
+    np.linalg.norm takes sqrt(v.dot(v)) of the raveled matrix; a (1, N) @
+    (N, 1) product is the same BLAS dot per slice, so the bits agree.  A sum
+    over axis=(1, 2) adds in another order and would not.
+    """
+    flat = m.reshape(m.shape[0], 1, -1)
+    return np.sqrt((flat @ np.swapaxes(flat, 1, 2))[:, 0, 0])
+
+
+def fixed_group_residual(pair: MatrixSymmetricPair, g: np.ndarray):
+    """Scale-free distance of a group element from the sigma-fixed subgroup.
+
+    g is one matrix, giving a float, or a stack of shape (k, n, n), giving
+    an array of k residuals; entry i equals the residual of g[i] bit for bit.
+    """
+    stack = g if g.ndim == 3 else g[np.newaxis]
+    num = _frobenius_slices(pair.sigma.apply(stack) - stack)
+    den = np.maximum(_frobenius_slices(stack), 1e-300)
+    res = num / den
+    return res if g.ndim == 3 else float(res[0])
 
 
 def in_fixed_group(pair: MatrixSymmetricPair, g: np.ndarray,

@@ -356,3 +356,136 @@ def search_outcome(lat, meta_keys):
     w = lat.witness
     witness = None if w is None else (w.coefficients, w.vector.tobytes(), w.norm)
     return lat.verdict, witness, {key: lat.meta[key] for key in meta_keys}
+
+
+
+def nullspace_full_svd(a, rank_tol=1e-9):
+    """Float right nullspace from the full SVD, as numerics.nullspace took it
+    before tall matrices moved to the reduced SVD."""
+    rows, cols = a.shape
+    if rows == 0:
+        return [np.eye(cols)[i] for i in range(cols)]
+    _, s, vh = np.linalg.svd(a)
+    smax = s[0] if s.size else 0.0
+    keep = [i for i in range(cols) if i >= s.size or s[i] <= rank_tol * smax]
+    return [vh[i].copy() for i in keep]
+
+# The matrix exponential and the kernel scan as they ran before the stacked
+# evaluation: one Pade pass, one residual and one np.linalg.norm per matrix,
+# 200 ternary steps per dip.  Kept verbatim (names aside) so that the
+# stacked rewrite can be held to the same floats.
+
+_PADE13_LOOPS = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0,
+    670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+    960960.0, 16380.0, 182.0, 1.0,
+)
+
+
+def matrix_exp_loops(x):
+    """Scaling and squaring with the [13/13] Pade form, one matrix."""
+    n = x.shape[0]
+    norm = float(np.linalg.norm(x, 1))
+    theta13 = 5.371920351148152
+    squarings = max(0, int(math.ceil(math.log2(norm / theta13))) if norm > theta13 else 0)
+    a = x / (2.0 ** squarings)
+    b = _PADE13_LOOPS
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a2 @ a4
+    ident = np.eye(n)
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) \
+        + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(squarings):
+        r = r @ r
+    return r
+
+
+def fixed_group_residual_loops(pair, g):
+    """Scale-free distance of one group element from the sigma-fixed subgroup."""
+    if hasattr(pair.sigma, "inverse"):
+        image = pair.sigma.matrix @ g @ pair.sigma.inverse
+    else:
+        image = np.linalg.inv(g).T
+    num = float(np.linalg.norm(image - g))
+    den = max(float(np.linalg.norm(g)), 1e-300)
+    return num / den
+
+
+def kernel_lattice_1d_loops(pair, direction=None, t_max=8.0, tol=None, grid=2048):
+    """Kernel of t -> Exp(t z) against the base point, one matrix at a time."""
+    from triplekit import sympair as sp
+    from triplekit.numerics import DEFAULT_TOLERANCE
+    from triplekit.periods import (DISCRETE, FINITE_DIMENSION_CAVEAT, INCONCLUSIVE,
+                                   NON_DISCRETE_WITNESS, CenterMismatchError,
+                                   KernelLattice, Witness, default_central_direction)
+    tol = DEFAULT_TOLERANCE if tol is None else tol
+    if direction is None:
+        direction = default_central_direction(pair)
+    try:
+        sp.central_odd_check(pair, direction, tol)
+    except sp.PairInputError as e:
+        raise CenterMismatchError(str(e)) from e
+    dirf = np.asarray(direction, dtype=float)
+
+    def residual(t):
+        g = matrix_exp_loops(t * dirf)
+        return fixed_group_residual_loops(pair, g)
+
+    def accepted(t):
+        g = matrix_exp_loops(t * dirf)
+        return sp.in_fixed_group(pair, g, tol)
+
+    ts = np.linspace(0.0, t_max, grid + 1)
+    vals = np.array([residual(t) for t in ts])
+    if float(np.max(vals[1:])) <= tol.membership_tol:
+        witness_t = ts[1]
+        if accepted(float(witness_t)):
+            w = Witness((1,), np.array([witness_t]), float(witness_t))
+            return KernelLattice(1, (np.array([witness_t]),), NON_DISCRETE_WITNESS, w,
+                                 meta={"caveat": FINITE_DIMENSION_CAVEAT})
+
+    zeros = []
+    for i in range(1, grid):
+        if vals[i] <= vals[i - 1] and vals[i] <= vals[i + 1] and vals[i] < 0.5:
+            lo, hi = ts[i - 1], ts[i + 1]
+            for _ in range(200):
+                m1 = lo + (hi - lo) / 3.0
+                m2 = hi - (hi - lo) / 3.0
+                if residual(m1) <= residual(m2):
+                    hi = m2
+                else:
+                    lo = m1
+            t_star = 0.5 * (lo + hi)
+            if residual(t_star) <= tol.membership_tol and t_star > 1e-9 and accepted(t_star):
+                if not zeros or abs(t_star - zeros[-1]) > 1e-6:
+                    zeros.append(t_star)
+    if not zeros:
+        return KernelLattice(1, (), INCONCLUSIVE,
+                             meta={"reason": "no kernel point in range",
+                                   "t_max": t_max,
+                                   "caveat": FINITE_DIMENSION_CAVEAT})
+    t0 = zeros[0]
+    mid = np.linspace(0.25 * t0, 0.75 * t0, 64)
+    isolation = float(np.min([residual(t) for t in mid]))
+    meta = {
+        "refined_residual": residual(t0),
+        "isolation_floor": isolation,
+        "zeros_in_range": zeros,
+        "t_max": t_max,
+        "policy": pair.fixed_group_policy,
+        "caveat": FINITE_DIMENSION_CAVEAT,
+    }
+    if isolation > 10.0 * tol.membership_tol:
+        return KernelLattice(1, (np.array([t0]),), DISCRETE, meta=meta)
+    return KernelLattice(1, (np.array([t0]),), INCONCLUSIVE, meta=meta)
+
+
+def kernel_outcome(lat, meta_keys):
+    """Verdict, generators, witness and the named meta entries, compared with ==."""
+    gens = tuple(np.asarray(g).tobytes() for g in lat.generators)
+    return (*search_outcome(lat, meta_keys), gens)

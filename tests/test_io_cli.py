@@ -16,7 +16,7 @@ from triplekit import symlie as sl
 from triplekit import sympair as sp
 from triplekit.cli import main
 
-from oracles import antisymmetry_defect_loops, cyclic_defect_loops
+from oracles import antisymmetry_defect_loops, cyclic_defect_loops, kernel_lattice_1d_loops
 
 
 @pytest.fixture(scope="module")
@@ -239,6 +239,25 @@ def test_period_pair_route_json(gallery_dir, capsys):
     assert doc["verdict"] == "Discrete"
     assert abs(doc["generator"] - 3.141592653589793) < 1e-8
 
+
+@pytest.mark.parametrize("argv", [["--coords", "1,1,0,0"], ["--coords", "1,1,0,0", "--t-max", "2"],
+                                  []])
+def test_period_pair_json_bytes_match_loop_scan(gallery_dir, capsys, argv):
+    # the scan's work counters stay in meta: the report is the one the
+    # one-matrix-at-a-time scan gives, byte for byte
+    path = str(gallery_dir / "pair_u2_mod_o2.json")
+    assert main(["period", path, *argv, "--json"]) == 0
+    got = capsys.readouterr().out
+    args = cli._parser().parse_args(["period", path, *argv])
+    pair = jsonio.load(path)
+    lat = kernel_lattice_1d_loops(pair, cli._direction(pair, args), t_max=args.t_max)
+    report = {"route": "pair", "verdict": lat.verdict,
+              "generators": [float(g[0]) for g in lat.generators],
+              "caveat": lat.meta["caveat"]}
+    if lat.verdict == "Discrete":
+        report["generator"] = float(lat.generators[0][0])
+        report["isolation_floor"] = lat.meta["isolation_floor"]
+    assert got == json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
 
 def test_period_subgroup_route(capsys):
     rc = main(["period", "--subgroup", "1.0", "1.4142135623730951", "--json"])

@@ -111,6 +111,23 @@ def test_center_u2_minus_is_scalar_line():
     assert v[0] == v[1] and v[0] != 0 and v[2] == 0
 
 
+def test_float_center_memory_u4_minus():
+    # the d^3 x d stacked bracket matrix is tall: the reduced SVD never builds
+    # its d^3 x d^3 U, which alone is 8 MB at d = 10
+    import tracemalloc
+    from triplekit import sympair as sp
+    system, _ = sp.minus_triple_float(fx.u_modulo_o_pair(4))
+    assert system.dim == 10
+    lt.center(system)  # warm any lazily built state outside the measurement
+    tracemalloc.start()
+    try:
+        z = lt.center(system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert z.dim == 1
+    assert peak < 2 ** 20
+
 def test_subsystem_not_ideal_in_sphere():
     m = fx.sphere_lts(3)
     sub = lt.subspace_from_vectors(3, [nx.rational_array([1, 0, 0]),

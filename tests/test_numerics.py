@@ -6,7 +6,8 @@ import pytest
 
 from triplekit import numerics as nx
 
-from oracles import hand_rref_fractions, rotation_matrix, tensordot_loops
+from oracles import (hand_rref_fractions, matrix_exp_loops, nullspace_full_svd,
+                     rotation_matrix, tensordot_loops)
 
 EQ_EPS = 1e-9
 SEED = 42
@@ -233,3 +234,71 @@ def test_commutators_match_matrix_products():
         for j in range(3):
             want = stack[i] @ stack[j] - stack[j] @ stack[i]
             assert np.array_equal(comms[i, j], want)
+
+
+# ------------------------------------------- stacked exponential, nullspace
+
+def _random_stack(rng, k, n, norms):
+    """k random n x n matrices with the given 1-norms."""
+    x = rng.standard_normal((k, n, n))
+    return x / np.linalg.norm(x, 1, axis=(1, 2))[:, None, None] * np.asarray(norms)[:, None, None]
+
+
+def test_matrix_exp_stack_equals_single_bitwise():
+    # 1-norms from 0.01 to 30 give 0 to 3 squarings inside one stack
+    rng = np.random.default_rng(SEED)
+    squarings_seen = set()
+    for n in range(1, 13):
+        norms = 10.0 ** rng.uniform(-2, math.log10(30), 12)
+        norms[:2] = (5.0, 30.0)
+        x = _random_stack(rng, 12, n, norms)
+        stacked = nx.matrix_exp(x)
+        assert stacked.shape == x.shape
+        for i in range(12):
+            assert np.array_equal(stacked[i], nx.matrix_exp(x[i]))
+            assert np.array_equal(stacked[i], matrix_exp_loops(x[i]))
+            assert np.array_equal(nx.matrix_exp(x[i:i + 1])[0], stacked[i])
+            squarings_seen.add(max(0, math.ceil(math.log2(norms[i] / 5.371920351148152))))
+    assert squarings_seen == {0, 1, 2, 3}
+
+
+def test_matrix_exp_empty_stack():
+    assert nx.matrix_exp(np.zeros((0, 3, 3))).shape == (0, 3, 3)
+
+
+@pytest.mark.parametrize("skew", [False, True])
+def test_matrix_exp_against_scipy_expm(skew):
+    linalg = pytest.importorskip("scipy.linalg")
+    rng = np.random.default_rng(SEED + skew)
+    for _ in range(150):
+        n = int(rng.integers(2, 13))
+        x = rng.standard_normal((n, n))
+        if skew:
+            x = x - x.T
+        norm = 10.0 ** rng.uniform(-2, math.log10(30))
+        x *= norm / np.linalg.norm(x, 1)
+        want = linalg.expm(x)
+        rel = np.linalg.norm(nx.matrix_exp(x) - want) / np.linalg.norm(want)
+        # below theta_13 = 5.37 no squaring amplifies the [13/13] error; above
+        # it s squarings can amplify it by about 2**s times the conditioning
+        # of exp at x, so the bound loosens by two orders for norms up to 30
+        assert rel < (1e-12 if norm <= 5.4 else 1e-10)
+
+
+def test_nullspace_reduced_svd_matches_full_svd():
+    rng = np.random.default_rng(SEED)
+    for _ in range(60):
+        cols = int(rng.integers(1, 19))
+        rows = int(rng.integers(0, 300))
+        rank = int(rng.integers(0, cols + 1))
+        a = rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
+        got, want = nx.nullspace(a), nullspace_full_svd(a)
+        assert len(got) == len(want)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_nullspace_wide_matrix_keeps_full_v():
+    a = np.array([[1.0, 2.0, 3.0]])
+    basis = nx.nullspace(a)
+    assert len(basis) == 2
+    assert np.max(np.abs(a @ np.array(basis).T)) < 1e-12

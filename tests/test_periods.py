@@ -9,7 +9,8 @@ from triplekit import numerics as nx
 from triplekit import periods as pd
 from triplekit import sympair as sp
 from oracles import (best_sqrt2_relation, float_subgroup_loops, gram_schmidt_norms_loops,
-                     lll_reduce_loops, search_outcome)
+                     kernel_lattice_1d_loops, kernel_outcome, lll_reduce_loops,
+                     search_outcome)
 
 CFG = pd.SubgroupSearchConfig(epsilon=1e-6, coefficient_bound=10 ** 6)
 CFG_EXACT = pd.SubgroupSearchConfig(mode="rational")
@@ -75,6 +76,111 @@ def test_zero_direction_gives_continuous_kernel_witness():
     lat = pd.kernel_lattice_1d(pair, zero)
     assert lat.verdict == pd.NON_DISCRETE_WITNESS
     assert lat.witness is not None
+
+
+# ------------------------------------------- stacked scan vs the loop oracle
+
+SCAN_META = ("grid_points", "dips_refined", "dips_rejected", "refine_iterations",
+             "exp_evaluations")
+
+
+def _assert_scan_matches_oracle(pair, direction, **kw):
+    """Same verdict, generators, witness and pre-existing meta as the loop scan."""
+    old = kernel_lattice_1d_loops(pair, direction, **kw)
+    new = pd.kernel_lattice_1d(pair, direction, **kw)
+    assert kernel_outcome(new, old.meta) == kernel_outcome(old, old.meta)
+    assert set(new.meta) == set(old.meta) | set(SCAN_META)
+    return new
+
+
+@pytest.mark.parametrize("name", sorted(fx.pair_gallery()))
+def test_kernel_scan_matches_oracle_on_fixtures(name):
+    pair = fx.pair_gallery()[name]
+    try:
+        _assert_scan_matches_oracle(pair, None)
+    except pd.CenterMismatchError:
+        # the sphere pairs have no central line; the oracle must refuse too
+        with pytest.raises(pd.CenterMismatchError):
+            kernel_lattice_1d_loops(pair, None)
+
+
+def _rotated_pair(rng, n, double):
+    """A fixture pair on a seeded orthogonal change of ambient coordinates,
+    with its central direction scaled by s in [0.9, 1.6]."""
+    base = fx.group_double_pair(n) if double else fx.u_modulo_o_pair(n)
+    z = fx.central_direction_group_double(n) if double else fx.central_direction_u(n)
+    q, r = np.linalg.qr(rng.standard_normal((base.ambient_n, base.ambient_n)))
+    q = q * np.sign(np.diag(r))
+    pair = sp.MatrixSymmetricPair(
+        ambient_n=base.ambient_n, lie_basis=[q @ b @ q.T for b in base.lie_basis],
+        sigma=sp.SigmaConjugation(q @ base.sigma.matrix @ q.T), name=f"rotated {base.name}")
+    return pair, float(rng.uniform(0.9, 1.6)) * (q @ z @ q.T)
+
+
+@pytest.mark.parametrize("double", [False, True])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_kernel_scan_matches_oracle_on_rotated_pairs(n, double):
+    rng = np.random.default_rng([42, n, double])
+    pair, direction = _rotated_pair(rng, n, double)
+    lat = _assert_scan_matches_oracle(pair, direction)
+    assert lat.verdict == pd.DISCRETE
+
+
+def _transpose_inverse_pair(n):
+    """GL(n) over O(n): sigma is g -> g^(-T), the Lie algebra all of gl(n)."""
+    basis = []
+    for i in range(n):
+        for j in range(n):
+            e = np.zeros((n, n))
+            e[i, j] = 1.0
+            basis.append(e)
+    return sp.MatrixSymmetricPair(ambient_n=n, lie_basis=basis,
+                                  sigma=sp.SigmaTransposeInverse(), name=f"GL({n})/O({n})")
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_kernel_scan_transpose_inverse_pair(n):
+    # exp(t I) = e^t I never meets O(n) for t > 0: no kernel point
+    pair = _transpose_inverse_pair(n)
+    lat = _assert_scan_matches_oracle(pair, np.eye(n))
+    assert lat.verdict == pd.INCONCLUSIVE
+
+
+def test_kernel_scan_matches_oracle_edge_cases():
+    pair = fx.u_modulo_o_pair(2)
+    z = fx.central_direction_u(2)
+    short = _assert_scan_matches_oracle(pair, z, t_max=2.0)     # below the first zero
+    assert short.verdict == pd.INCONCLUSIVE
+    zero = _assert_scan_matches_oracle(pair, np.zeros((4, 4)))
+    assert zero.verdict == pd.NON_DISCRETE_WITNESS
+    assert zero.meta["dips_refined"] == 0
+    coarse = _assert_scan_matches_oracle(pair, z, grid=300)    # grid not a block multiple
+    assert coarse.meta["grid_points"] == 301
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_kernel_scan_matches_oracle_identity_component_heuristic(n):
+    import dataclasses
+    pair = dataclasses.replace(fx.u_modulo_o_pair(n),
+                               fixed_group_policy=sp.IDENTITY_COMPONENT_HEURISTIC)
+    lat = _assert_scan_matches_oracle(pair, fx.central_direction_u(n))
+    # -I at t = pi is a rotation in O(2) but lies off the identity component
+    # of O(3), so for n = 3 that dip is refined and rejected
+    assert lat.meta["dips_rejected"] == (n - 2)
+    assert float(lat.generators[0][0]) == pytest.approx(math.pi * (n - 1))
+
+
+def test_kernel_scan_reports_its_work():
+    lat = pd.kernel_lattice_1d(fx.u_modulo_o_pair(2), fx.central_direction_u(2))
+    meta = lat.meta
+    assert meta["grid_points"] == 2049
+    assert meta["zeros_in_range"] == pytest.approx([math.pi, 2 * math.pi])
+    assert (meta["dips_refined"], meta["dips_rejected"]) == (2, 0)
+    # each refinement leaves its 200-step loop at the fixed point of (lo, hi)
+    assert 0 < meta["refine_iterations"] < 2 * 200
+    # grid, two points per ternary step, residual and policy at each refined
+    # point, 64 isolation probes and the reported refined residual
+    assert meta["exp_evaluations"] == 2049 + 2 * meta["refine_iterations"] + 2 * 2 + 64 + 1
 
 
 # ------------------------------------------------------------ exact lattices

@@ -1,5 +1,5 @@
-"""Property tests for the exact contraction kernel and the float subgroup
-search (need hypothesis)."""
+"""Property tests for the exact contraction kernel, the float subgroup
+search and the stacked matrix exponential (need hypothesis)."""
 
 import math
 from fractions import Fraction
@@ -13,7 +13,8 @@ st = pytest.importorskip("hypothesis.strategies")
 from triplekit import numerics as nx  # noqa: E402
 from triplekit import periods as pd  # noqa: E402
 
-from oracles import float_subgroup_loops, search_outcome, tensordot_loops  # noqa: E402
+from oracles import (float_subgroup_loops, matrix_exp_loops, search_outcome,  # noqa: E402
+                     tensordot_loops)
 
 fractions = st.builds(Fraction, st.integers(-2 ** 70, 2 ** 70), st.integers(1, 2 ** 12))
 
@@ -67,3 +68,20 @@ def test_float_subgroup_search_matches_loop_oracle(gens, search):
     old = float_subgroup_loops(gens, cfg)
     new = pd.subgroup_discreteness(gens, cfg)
     assert search_outcome(new, old.meta) == search_outcome(old, old.meta)
+
+
+@st.composite
+def matrix_stacks(draw):
+    k, n = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    entries = st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False)
+    x = np.array(draw(st.lists(entries, min_size=k * n * n, max_size=k * n * n)))
+    scales = np.array(draw(st.lists(st.floats(0.0, 30.0), min_size=k, max_size=k)))
+    return x.reshape(k, n, n) * scales[:, None, None]
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(matrix_stacks())
+def test_stacked_matrix_exp_matches_single_matrix_oracle(x):
+    stacked = nx.matrix_exp(x)
+    for i in range(x.shape[0]):
+        assert np.array_equal(stacked[i], matrix_exp_loops(x[i]))

@@ -9,7 +9,7 @@ from triplekit import lts as lt
 from triplekit import sympair as sp
 from triplekit import fixtures as fx
 
-from oracles import double_bracket_matrix
+from oracles import double_bracket_matrix, fixed_group_residual_loops
 
 SEED = 42
 LAW_EPS = 1e-9
@@ -226,3 +226,22 @@ def test_sigma_conjugation_inverts_once():
     g = rng.standard_normal((4, 4))
     assert np.array_equal(sigma.apply(g), j @ g @ np.linalg.inv(j))
     assert np.array_equal(sigma.apply_tangent(g), j @ g @ np.linalg.inv(j))
+
+
+@pytest.mark.parametrize("sigma", ["conjugation", "transpose_inverse"])
+def test_fixed_group_residual_stack_equals_single_bitwise(sigma):
+    rng = np.random.default_rng(SEED)
+    pair = fx.u_modulo_o_pair(2)
+    if sigma == "transpose_inverse":
+        pair = sp.MatrixSymmetricPair(ambient_n=4, lie_basis=pair.lie_basis,
+                                      sigma=sp.SigmaTransposeInverse())
+    stack = np.array([fx.random_invertible(rng, 4) for _ in range(40)]
+                     + [nx.matrix_exp(t * fx.central_direction_u(2)) for t in (0.0, 1.0, math.pi)])
+    res = sp.fixed_group_residual(pair, stack)
+    assert res.shape == (43,)
+    for g, r in zip(stack, res):
+        single = sp.fixed_group_residual(pair, g)
+        assert isinstance(single, float) and single == float(r)
+        assert single == fixed_group_residual_loops(pair, g)
+    one = sp.fixed_group_residual(pair, stack[:1])
+    assert one.shape == (1,) and float(one[0]) == float(res[0])
