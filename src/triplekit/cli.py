@@ -113,7 +113,7 @@ def _direction(pair, args, fallback: str = "center"):
 def cmd_check(args) -> int:
     tol = _policy(args)
     try:
-        obj = jsonio.load(args.file)
+        obj = jsonio.load(args.file, tol)
     except (sl.InvolutionDefectError, sl.AxiomDefectError, sp.PairInputError) as e:
         _emit({"ok": False, "reason": str(e)}, args)
         return EXIT_VIOLATION
@@ -148,7 +148,7 @@ def cmd_check(args) -> int:
 
 def cmd_center(args) -> int:
     tol = _policy(args)
-    obj = jsonio.load(args.file)
+    obj = jsonio.load(args.file, tol)
     if isinstance(obj, lt.LieTripleSystem):
         z = lt.center(obj, tol)
         report = {"kind": "lts", "center_dim": z.dim,
@@ -172,7 +172,7 @@ def cmd_center(args) -> int:
 
 def cmd_embed(args) -> int:
     tol = _policy(args)
-    obj = jsonio.load(args.file)
+    obj = jsonio.load(args.file, tol)
     if not isinstance(obj, lt.LieTripleSystem):
         raise jsonio.FormatError("embed expects a triple-system document")
     emb = sl.standard_embedding(obj, tol)
@@ -188,7 +188,7 @@ def cmd_embed(args) -> int:
 
 def cmd_quotient(args) -> int:
     tol = _policy(args)
-    obj = jsonio.load(args.file)
+    obj = jsonio.load(args.file, tol)
     if not isinstance(obj, lt.LieTripleSystem):
         raise jsonio.FormatError("quotient expects a triple-system document")
     if args.ideal:
@@ -212,8 +212,8 @@ def cmd_quotient(args) -> int:
 
 def cmd_product(args) -> int:
     tol = _policy(args)
-    a = jsonio.load(args.file)
-    b = jsonio.load(args.file2)
+    a = jsonio.load(args.file, tol)
+    b = jsonio.load(args.file2, tol)
     if not (isinstance(a, lt.LieTripleSystem) and isinstance(b, lt.LieTripleSystem)):
         raise jsonio.FormatError("product expects two triple-system documents")
     prod = lt.direct_product(a, b)
@@ -229,7 +229,7 @@ def cmd_product(args) -> int:
 
 def cmd_pair_exp(args) -> int:
     tol = _policy(args)
-    pair = jsonio.load(args.file)
+    pair = jsonio.load(args.file, tol)
     if not isinstance(pair, sp.MatrixSymmetricPair):
         raise jsonio.FormatError("pair-exp expects a pair document")
     x = _direction(pair, args, fallback="odd")
@@ -247,7 +247,7 @@ def cmd_pair_exp(args) -> int:
 
 def cmd_geodesic(args) -> int:
     tol = _policy(args)
-    pair = jsonio.load(args.file)
+    pair = jsonio.load(args.file, tol)
     if not isinstance(pair, sp.MatrixSymmetricPair):
         raise jsonio.FormatError("geodesic expects a pair document")
     x = _direction(pair, args, fallback="odd")
@@ -286,7 +286,7 @@ def cmd_period(args) -> int:
         return EXIT_OK
     if not args.file:
         raise jsonio.FormatError("period needs a pair file or --subgroup vectors")
-    pair = jsonio.load(args.file)
+    pair = jsonio.load(args.file, tol)
     if not isinstance(pair, sp.MatrixSymmetricPair):
         raise jsonio.FormatError("period expects a pair document")
     x = _direction(pair, args)
@@ -333,7 +333,7 @@ def cmd_quotient_demo(args) -> int:
 
 def cmd_loop_demo(args) -> int:
     tol = _policy(args)
-    pair = jsonio.load(args.file)
+    pair = jsonio.load(args.file, tol)
     if not isinstance(pair, sp.MatrixSymmetricPair):
         raise jsonio.FormatError("loop-demo expects a pair document")
     x = _direction(pair, args)

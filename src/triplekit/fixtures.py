@@ -71,17 +71,11 @@ def lie_from_matrices(mats: list[np.ndarray], labels=None) -> "sl.LieAlgebra":
     mode = nx.mode_of(mats[0])
     d = len(mats)
     stack = np.array(mats, dtype=mats[0].dtype)
-    flat = list(stack.reshape(d, -1))
-    comms = list(nx.commutators(stack, stack).reshape(d * d, -1))
-    all_coords = nx.coordinates_in_span_many(flat, comms)
-    tensor = nx.zeros((d, d, d), mode)
-    for i in range(d):
-        for j in range(d):
-            coords = all_coords[i * d + j]
-            if coords is None:
-                raise lt.LtsStructureError("matrix basis is not closed under commutators")
-            tensor[i, j, :] = coords
-    return sl.LieAlgebra(d, tensor, mode, tuple(labels) if labels else None)
+    comms = nx.commutators(stack, stack).reshape(d * d, -1)
+    coords, inside = nx.coordinates_in_span_many(stack.reshape(d, -1), comms)
+    if not inside.all():
+        raise lt.LtsStructureError("matrix basis is not closed under commutators")
+    return sl.LieAlgebra(d, coords.reshape(d, d, d), mode, tuple(labels) if labels else None)
 
 
 def lts_from_matrices(mats: list[np.ndarray], labels=None) -> lt.LieTripleSystem:
@@ -90,21 +84,13 @@ def lts_from_matrices(mats: list[np.ndarray], labels=None) -> lt.LieTripleSystem
     d = len(mats)
     n = mats[0].shape[0]
     stack = np.array(mats, dtype=mats[0].dtype)
-    flat = list(stack.reshape(d, -1))
     comms = nx.commutators(stack, stack).reshape(d * d, n, n)
-    doubles = list(nx.commutators(comms, stack).reshape(d * d * d, -1))
-    all_coords = nx.coordinates_in_span_many(flat, doubles)
-    tensor = nx.zeros((d, d, d, d), mode)
-    pos = 0
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                coords = all_coords[pos]
-                pos += 1
-                if coords is None:
-                    raise lt.LtsStructureError("span is not closed under double commutators")
-                tensor[i, j, k, :] = coords
-    return lt.LieTripleSystem(d, tensor, mode, tuple(labels) if labels else None)
+    doubles = nx.commutators(comms, stack).reshape(d * d * d, -1)
+    coords, inside = nx.coordinates_in_span_many(stack.reshape(d, -1), doubles)
+    if not inside.all():
+        raise lt.LtsStructureError("span is not closed under double commutators")
+    return lt.LieTripleSystem(d, coords.reshape(d, d, d, d), mode,
+                              tuple(labels) if labels else None)
 
 
 def _conjugation_theta(mats: list[np.ndarray], j: np.ndarray) -> np.ndarray:
@@ -116,8 +102,10 @@ def _conjugation_theta(mats: list[np.ndarray], j: np.ndarray) -> np.ndarray:
     stack = np.array(mats, dtype=object)
     images = nx.contract(nx.contract(stack, j, axes=([2], [0])), j, axes=([1], [1]))
     images = images.transpose(0, 2, 1).reshape(d, -1)
-    coords = nx.coordinates_in_span_many(list(stack.reshape(d, -1)), list(images))
-    return np.array(coords, dtype=object).T
+    coords, inside = nx.coordinates_in_span_many(stack.reshape(d, -1), images)
+    if not inside.all():
+        raise lt.LtsStructureError("conjugation does not preserve the matrix span")
+    return coords.T
 
 
 # ----------------------------------------------------------------- LTS gallery
@@ -243,10 +231,10 @@ def broken_symmetric_algebra() -> tuple["sl.LieAlgebra", np.ndarray]:
     minus = [nx.rational_array([1, 1, 0, 0]), nx.rational_array([0, 0, 1, 0])]
     plus = [nx.rational_array([0, 1, 0, 0]), nx.rational_array([0, 0, 0, 1])]
     cols = []
-    basis = np.array(minus + plus, dtype=object)
-    eye = nx.identity(4, RATIONAL)
+    # column i of the inverse holds the coordinates of e_i in the basis
+    inv = nx.inverse(np.array(minus + plus, dtype=object).T)
     for i in range(4):
-        coords = nx.solve_exact(basis.T, eye[i])
+        coords = inv[:, i]
         img = -coords[0] * minus[0] - coords[1] * minus[1] + coords[2] * plus[0] + coords[3] * plus[1]
         cols.append(img)
     theta = np.array(cols, dtype=object).T

@@ -17,7 +17,7 @@ from triplekit import lts as lt
 from triplekit import numerics as nx
 from triplekit import symlie as sl
 from triplekit import sympair as sp
-from triplekit.numerics import FLOAT, RATIONAL
+from triplekit.numerics import DEFAULT_TOLERANCE, FLOAT, RATIONAL, TolerancePolicy
 
 
 class FormatError(ValueError):
@@ -122,10 +122,11 @@ def lie_from_dict(doc: dict) -> sl.LieAlgebra:
     return sl.LieAlgebra(d, tensor, mode, _labels_in(doc.get("labels")))
 
 
-def symmetric_from_dict(doc: dict) -> sl.SymmetricLieAlgebra:
+def symmetric_from_dict(doc: dict, tol: TolerancePolicy = DEFAULT_TOLERANCE
+                        ) -> sl.SymmetricLieAlgebra:
     algebra = lie_from_dict(doc["algebra"])
     theta = _dec_matrix(doc["theta"], algebra.mode)
-    return sl.SymmetricLieAlgebra(algebra, theta)
+    return sl.SymmetricLieAlgebra(algebra, theta, tol)
 
 
 def pair_from_dict(doc: dict) -> sp.MatrixSymmetricPair:
@@ -197,8 +198,13 @@ def sniff_kind(doc: dict) -> str:
     raise FormatError("document matches no known object layout")
 
 
-def from_dict(doc: dict):
-    return _FROM[sniff_kind(doc)](doc)
+def from_dict(doc: dict, tol: TolerancePolicy = DEFAULT_TOLERANCE):
+    """The object a document describes; tol is the policy a float symmetric
+    algebra checks its involution against."""
+    kind = sniff_kind(doc)
+    if kind == "symmetric_lie":
+        return symmetric_from_dict(doc, tol)
+    return _FROM[kind](doc)
 
 
 def dumps(obj) -> str:
@@ -211,7 +217,7 @@ def save(path, obj) -> None:
         f.write(dumps(obj))
 
 
-def load(path):
+def load(path, tol: TolerancePolicy = DEFAULT_TOLERANCE):
     with open(path) as f:
         try:
             doc = json.load(f)
@@ -219,4 +225,4 @@ def load(path):
             raise FormatError(f"not valid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise FormatError("top-level JSON value must be an object")
-    return from_dict(doc)
+    return from_dict(doc, tol)

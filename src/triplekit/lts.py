@@ -71,13 +71,14 @@ class Subspace:
         return self.basis.shape[0]
 
     def contains(self, v: np.ndarray, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> bool:
-        return nx.coordinates_in_span(list(self.basis), v, tol) is not None
+        return self.contains_all([v], tol)
 
-    def contains_subspace(self, other: "Subspace", tol: TolerancePolicy = DEFAULT_TOLERANCE) -> bool:
-        return all(self.contains(v, tol) for v in other.basis)
+    def contains_all(self, vectors, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> bool:
+        """Whether every vector (rows of an array, or a list) lies in the span."""
+        return bool(nx.coordinates_in_span_many(self.basis, vectors, tol)[1].all())
 
     def equals(self, other: "Subspace", tol: TolerancePolicy = DEFAULT_TOLERANCE) -> bool:
-        return self.contains_subspace(other, tol) and other.contains_subspace(self, tol)
+        return self.contains_all(other.basis, tol) and other.contains_all(self.basis, tol)
 
 
 def subspace_from_vectors(parent_dim: int, vectors, mode: str,
@@ -122,13 +123,6 @@ def bracket_eval(m: LieTripleSystem, x: np.ndarray, y: np.ndarray, z: np.ndarray
     t = nx.contract(x, m.tensor, axes=(0, 0))
     t = nx.contract(y, t, axes=(0, 0))
     return nx.contract(z, t, axes=(0, 0))
-
-
-def left_multiplication(m: LieTripleSystem, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Matrix of the operator sending v to the bracket of (x, y, v)."""
-    t = nx.contract(x, m.tensor, axes=(0, 0))
-    t = nx.contract(y, t, axes=(0, 0))  # t[k, l]
-    return t.T  # rows indexed by output coordinate
 
 
 def verify_axioms(m: LieTripleSystem, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> AxiomReport:
@@ -196,32 +190,23 @@ def center(m: LieTripleSystem, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> Subs
 
 
 def is_subsystem(m: LieTripleSystem, sub: Subspace, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> bool:
-    for x in sub.basis:
-        for y in sub.basis:
-            for z in sub.basis:
-                if not sub.contains(bracket_eval(m, x, y, z), tol):
-                    return False
-    return True
+    t = nx.contract(sub.basis, m.tensor, axes=([1], [0]))      # [a,j,k,l]
+    t = nx.contract(sub.basis, t, axes=([1], [1]))             # [b,a,k,l]
+    t = nx.contract(sub.basis, t, axes=([1], [2]))             # [c,b,a,l]
+    return sub.contains_all(t.reshape(sub.dim ** 3, m.dim), tol)
 
 
 def is_ideal(m: LieTripleSystem, sub: Subspace, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> bool:
     """Test bracket(n, m, m) inside n; on success assert the two companion
     containments, which are automatic for a genuine LTS."""
-    d = m.dim
-    for x in sub.basis:
-        first = nx.contract(x, m.tensor, axes=(0, 0))  # [j, k, l]
-        for j in range(d):
-            for k in range(d):
-                if not sub.contains(first[j, k], tol):
-                    return False
-    for x in sub.basis:
-        mid = nx.contract(x, m.tensor, axes=(0, 1))
-        last = nx.contract(x, m.tensor, axes=(0, 2))
-        for j in range(d):
-            for k in range(d):
-                if not sub.contains(mid[j, k], tol) or not sub.contains(last[j, k], tol):
-                    raise LtsStructureError(
-                        "ideal closure is one-sided; tensor is not a Lie triple system")
+    rows = (sub.dim * m.dim * m.dim, m.dim)
+    first = nx.contract(sub.basis, m.tensor, axes=([1], [0]))  # bracket(x, ., .)
+    if not sub.contains_all(first.reshape(rows), tol):
+        return False
+    mid = nx.contract(sub.basis, m.tensor, axes=([1], [1]))    # bracket(., x, .)
+    last = nx.contract(sub.basis, m.tensor, axes=([1], [2]))   # bracket(., ., x)
+    if not sub.contains_all(np.concatenate([mid.reshape(rows), last.reshape(rows)]), tol):
+        raise LtsStructureError("ideal closure is one-sided; tensor is not a Lie triple system")
     return True
 
 

@@ -14,6 +14,14 @@ on Python ints (which grow instead of wrapping, and need no gcd) otherwise.
 Decision kernels test defects for zero on the numerators directly, and
 ``defect_size`` turns the largest one into an exact ``Fraction``.  Float
 arrays pass through all of these with denominator 1.
+
+Span membership and coordinates have one kernel, ``coordinates_in_span_many``.
+It answers T targets against k basis rows in one row reduction (exact) or
+one least-squares call (float) and returns arrays, not per-target results:
+``coords`` of shape (T, k) in the basis' mode and a bool ``inside`` of shape
+(T,); a row of ``coords`` means something only where ``inside`` is True.
+Structure checks build all their targets with one contraction and make one
+call; ``coordinates_in_span`` is the one-target case.
 """
 
 from __future__ import annotations
@@ -316,21 +324,6 @@ def span_basis(vectors, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> list[np.nda
     return kept
 
 
-def solve_exact(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """Solve a @ x = b over the rationals; None if inconsistent."""
-    rows, cols = a.shape
-    aug = zeros((rows, cols + 1), RATIONAL)
-    aug[:, :cols] = a
-    aug[:, cols] = b
-    red, pivots = rref(aug)
-    if cols in pivots:
-        return None
-    x = zeros((cols,), RATIONAL)
-    for r_idx, p in enumerate(pivots):
-        x[p] = red[r_idx, cols]
-    return x
-
-
 def inverse(a: np.ndarray) -> np.ndarray:
     """Matrix inverse in either mode; exact mode uses one augmented row reduction."""
     if mode_of(a) == FLOAT:
@@ -342,72 +335,50 @@ def inverse(a: np.ndarray) -> np.ndarray:
     return red[:, n:]
 
 
-def coordinates_in_span(basis: list[np.ndarray], v: np.ndarray,
+def coordinates_in_span(basis, v: np.ndarray,
                         tol: TolerancePolicy = DEFAULT_TOLERANCE) -> np.ndarray | None:
     """Coordinates of v in the row span of basis, or None if v is outside.
 
-    Float mode accepts v when the least-squares residual is at most
-    membership_tol * max(1, |v|).
+    One target of coordinates_in_span_many, with the same rule.
     """
-    if not basis:
-        if max_abs(v) == 0.0:
-            return zeros((0,), mode_of(v))
-        return None
-    mode = mode_of(basis[0])
-    bmat = np.array(basis, dtype=basis[0].dtype)
-    if mode == RATIONAL:
-        return solve_exact(bmat.T, v)
-    coords, _, _, _ = np.linalg.lstsq(bmat.T, v, rcond=None)
-    residual = float(np.linalg.norm(bmat.T @ coords - v))
-    if residual <= tol.membership_tol * max(1.0, float(np.linalg.norm(v))):
-        return coords
-    return None
+    coords, inside = coordinates_in_span_many(basis, [v], tol)
+    return coords[0] if inside[0] else None
 
 
-def coordinates_in_span_many(basis: list[np.ndarray], targets: list[np.ndarray],
-                             tol: TolerancePolicy = DEFAULT_TOLERANCE
-                             ) -> list[np.ndarray | None]:
-    """Span coordinates for many targets at once; None where a target escapes.
+def coordinates_in_span_many(basis, targets, tol: TolerancePolicy = DEFAULT_TOLERANCE
+                             ) -> tuple[np.ndarray, np.ndarray]:
+    """Span coordinates and membership of many targets in one solve.
 
-    One row reduction (or one stacked least-squares call) serves every
-    target, which matters when structure constants need thousands of solves.
+    basis holds k vectors of length n as rows (a (k, n) array or a list of
+    vectors), targets holds T of them.  Returns (coords, inside): coords has
+    shape (T, k), in the basis' mode, and coords[t] @ basis == targets[t]
+    wherever the bool array inside, shape (T,), is True.  Rows where inside
+    is False mean nothing.
+
+    Exact mode reads both from one row reduction of [basis^T | targets^T]
+    with pivots limited to the basis columns: a target is inside when its
+    column vanishes below the pivot rows, and its pivot entries are its
+    coordinates (zero on dependent basis vectors).  Float mode makes one
+    stacked least-squares call and accepts a target when its residual is at
+    most membership_tol * max(1, |target|).  An empty basis spans only the
+    zero vector.
     """
-    if not targets:
-        return []
-    if not basis:
-        return [zeros((0,), mode_of(t)) if max_abs(t) == 0.0 else None
-                for t in targets]
-    mode = mode_of(basis[0])
-    k = len(basis)
-    bmat = np.array(basis, dtype=basis[0].dtype)
-    tmat = np.array(targets, dtype=targets[0].dtype)
+    bmat, tmat = np.asarray(basis), np.asarray(targets)
+    k, count = len(bmat), len(tmat)
+    mode = mode_of(bmat if k else tmat)
+    if not k or not count:
+        return zeros((count, k), mode), np.array([not (t != 0).any() for t in tmat], dtype=bool)
     if mode == RATIONAL:
-        aug = zeros((bmat.shape[1], k + len(targets)), RATIONAL)
-        aug[:, :k] = bmat.T
-        aug[:, k:] = tmat.T
-        red, pivots = rref(aug, pivot_limit=k)
-        rank_b = len(pivots)
-        out: list[np.ndarray | None] = []
-        for j in range(len(targets)):
-            col = k + j
-            if any(red[r, col] != 0 for r in range(rank_b, red.shape[0])):
-                out.append(None)
-                continue
-            x = zeros((k,), RATIONAL)
-            for r_idx, p in enumerate(pivots):
-                x[p] = red[r_idx, col]
-            out.append(x)
-        return out
+        red, pivots = rref(np.concatenate([bmat.T, tmat.T], axis=1), pivot_limit=k)
+        coords = zeros((count, k), RATIONAL)
+        coords[:, pivots] = red[:len(pivots), k:].T
+        return coords, (red[len(pivots):, k:] == 0).all(axis=0)
     coords, _, _, _ = np.linalg.lstsq(bmat.T, tmat.T, rcond=None)
     recon = bmat.T @ coords
-    out = []
-    for j in range(len(targets)):
-        residual = float(np.linalg.norm(recon[:, j] - tmat[j]))
-        if residual <= tol.membership_tol * max(1.0, float(np.linalg.norm(tmat[j]))):
-            out.append(coords[:, j].copy())
-        else:
-            out.append(None)
-    return out
+    inside = np.array([float(np.linalg.norm(recon[:, j] - tmat[j]))
+                       <= tol.membership_tol * max(1.0, float(np.linalg.norm(tmat[j])))
+                       for j in range(count)], dtype=bool)
+    return coords.T, inside
 
 
 # Coefficients of the degree-13 Pade approximant to exp, fixed so that the

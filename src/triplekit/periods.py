@@ -342,10 +342,9 @@ def quotient_projection_discreteness(generators, ideal_basis,
         imat = np.array(ideal, dtype=object)
         comp = nx.nullspace(imat)  # orthogonal complement, rational
         basis = np.array(list(comp) + list(ideal), dtype=object)
-        proj = []
-        for g in gens:
-            coords = nx.solve_exact(basis.T, g)
-            proj.append(np.array(list(coords[:len(comp)]), dtype=object))
+        # comp and ideal together span the whole space: every generator is inside
+        coords, _ = nx.coordinates_in_span_many(basis, gens)
+        proj = list(coords[:, :len(comp)])
         result = subgroup_discreteness(proj, config)
     else:
         imat = np.array([nx.to_float(np.asarray(v)) for v in ideal], dtype=float)

@@ -11,7 +11,7 @@ symmetric Lie algebra built from its bracket operators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -102,10 +102,12 @@ class SymmetricLieAlgebra:
     """A Lie algebra together with an involutive automorphism.
 
     Both the involution property and the automorphism property are checked at
-    construction time; exact mode tolerates no defect at all.
+    construction time; exact mode tolerates no defect at all, float mode
+    tolerates tol.eq_tol.
     """
     algebra: LieAlgebra
     theta: np.ndarray
+    tol: TolerancePolicy = field(default=DEFAULT_TOLERANCE, compare=False)
 
     def __post_init__(self):
         g = self.algebra
@@ -113,7 +115,7 @@ class SymmetricLieAlgebra:
             raise InvolutionDefectError("theta shape does not match the algebra")
         if nx.mode_of(self.theta) != g.mode:
             raise lt.ModeMismatchError("theta mode does not match the algebra")
-        thr = 0.0 if g.mode == RATIONAL else DEFAULT_TOLERANCE.eq_tol
+        thr = 0.0 if g.mode == RATIONAL else self.tol.eq_tol
         if _square_defect(self.theta) > thr:
             raise InvolutionDefectError("theta squared is not the identity")
         if _automorphism_defect(g, self.theta) > thr:
@@ -142,10 +144,10 @@ def eigensplit(sla: SymmetricLieAlgebra, tol: TolerancePolicy = DEFAULT_TOLERANC
     minus = lt.subspace_from_vectors(g.dim, nx.nullspace(sla.theta + eye, tol), g.mode, tol)
     if plus.dim + minus.dim != g.dim:
         raise InvolutionDefectError("eigenspaces of theta do not span")
-    for u in plus.basis:
-        for v in plus.basis:
-            if not plus.contains(lie_bracket_eval(g, u, v), tol):
-                raise InvolutionDefectError("+1 eigenspace is not a subalgebra")
+    brackets = nx.contract(plus.basis, g.tensor, axes=([1], [0]))   # [u,j,k]
+    brackets = nx.contract(plus.basis, brackets, axes=([1], [1]))   # [v,u,k]
+    if not plus.contains_all(brackets.reshape(plus.dim ** 2, g.dim), tol):
+        raise InvolutionDefectError("+1 eigenspace is not a subalgebra")
     return EigenSplit(plus, minus)
 
 
@@ -164,8 +166,6 @@ def triple_from_involution(g: LieAlgebra, theta: np.ndarray,
     minus = lt.subspace_from_vectors(
         g.dim, nx.nullspace(theta + nx.identity(g.dim, g.mode), tol), g.mode, tol)
     d = minus.dim
-    tensor = nx.zeros((d, d, d, d), g.mode)
-    flat = list(minus.basis)
     b, sb = nx.numerators(minus.basis)
     c, sc = nx.numerators(g.tensor)
     # [[b_i, b_j], b_k] for all i, j, k in one contraction chain on the
@@ -175,19 +175,10 @@ def triple_from_involution(g: LieAlgebra, theta: np.ndarray,
     dbl = nx.contract_numerators(inner, c, axes=(2, 0))
     dbl = nx.contract_numerators(dbl, b, axes=(2, 1)).transpose(0, 1, 3, 2)
     dbl = nx.rescale(dbl, sb ** 3 * sc ** 2)
-    targets = [dbl[i, j, k] for i in range(d) for j in range(d) for k in range(d)]
-    all_coords = nx.coordinates_in_span_many(flat, targets, tol)
-    pos = 0
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                coords = all_coords[pos]
-                pos += 1
-                if coords is None:
-                    raise ClosureDefectError(
-                        "-1 eigenspace is not closed under double commutators")
-                tensor[i, j, k, :] = coords
-    return LieTripleSystem(d, tensor, g.mode), minus
+    coords, inside = nx.coordinates_in_span_many(minus.basis, dbl.reshape(d ** 3, g.dim), tol)
+    if not inside.all():
+        raise ClosureDefectError("-1 eigenspace is not closed under double commutators")
+    return LieTripleSystem(d, coords.reshape(d, d, d, d), g.mode), minus
 
 
 def minus_triple(sla: SymmetricLieAlgebra,
@@ -208,7 +199,7 @@ def g_plus(g: LieAlgebra, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> LieTriple
     system = LieTripleSystem(g.dim, tensor, g.mode, g.labels)
     zg = lie_center(g, tol)
     zsys = lt.center(system, tol)
-    if not zsys.contains_subspace(zg, tol):
+    if not zsys.contains_all(zg.basis, tol):
         raise AxiomDefectError("center of the quarter system lost the algebra center")
     return system
 
@@ -224,9 +215,8 @@ def symmetric_center(sla: SymmetricLieAlgebra,
                      tol: TolerancePolicy = DEFAULT_TOLERANCE) -> Subspace:
     """Center of the algebra, with theta-invariance verified."""
     z = lie_center(sla.algebra, tol)
-    for v in z.basis:
-        if not z.contains(nx.contract(sla.theta, v, axes=1), tol):
-            raise InvolutionDefectError("center is not theta invariant")
+    if not z.contains_all(nx.contract(z.basis, sla.theta, axes=([1], [1])), tol):
+        raise InvolutionDefectError("center is not theta invariant")
     return z
 
 
@@ -271,28 +261,22 @@ def standard_embedding(m: LieTripleSystem,
                 ops.append(cand)
     h = len(ops)
     n = h + d
-    flat_ops = [o.reshape(-1) for o in ops]
     tensor = nx.zeros((n, n, n), m.mode)
     stack = np.array(ops, dtype=m.tensor.dtype).reshape(h, d, d)
-    comms = nx.commutators(stack, stack)
-    for a in range(h):
-        for b in range(h):
-            coords = nx.coordinates_in_span(flat_ops, comms[a, b].reshape(-1), tol)
-            if coords is None:
-                raise AxiomDefectError("operator span is not closed under commutators")
-            tensor[a, b, :h] = coords
-    for a in range(h):
-        for k in range(d):
-            col = ops[a][:, k]
-            tensor[a, h + k, h:] = col
-            tensor[h + k, a, h:] = -col
-    for i in range(d):
-        for j in range(d):
-            cand = m.tensor[i, j].T
-            coords = nx.coordinates_in_span(flat_ops, cand.reshape(-1), tol)
-            if coords is None:
-                raise AxiomDefectError("bracket operator escaped the operator span")
-            tensor[h + i, h + j, :h] = coords
+    flat_ops = stack.reshape(h, d * d)
+    comms = nx.commutators(stack, stack).reshape(h * h, d * d)
+    coords, inside = nx.coordinates_in_span_many(flat_ops, comms, tol)
+    if not inside.all():
+        raise AxiomDefectError("operator span is not closed under commutators")
+    tensor[:h, :h, :h] = coords.reshape(h, h, h)
+    # an operator acting on an odd basis vector: column k of the operator
+    tensor[:h, h:, h:] = stack.transpose(0, 2, 1)
+    tensor[h:, :h, h:] = -stack.transpose(2, 0, 1)
+    brackets = m.tensor.transpose(0, 1, 3, 2).reshape(d * d, d * d)  # operator of (e_i, e_j)
+    coords, inside = nx.coordinates_in_span_many(flat_ops, brackets, tol)
+    if not inside.all():
+        raise AxiomDefectError("bracket operator escaped the operator span")
+    tensor[h:, h:, :h] = coords.reshape(d, d, h)
     ambient = LieAlgebra(n, tensor, m.mode)
     report = verify_lie_axioms(ambient, tol)
     if not report.ok:
@@ -301,7 +285,7 @@ def standard_embedding(m: LieTripleSystem,
     minus_one = Fraction(-1) if m.mode == RATIONAL else -1.0
     for k in range(d):
         theta[h + k, h + k] = minus_one
-    symmetric = SymmetricLieAlgebra(ambient, theta)  # checks the automorphism
+    symmetric = SymmetricLieAlgebra(ambient, theta, tol)  # checks the automorphism
 
     back, minus = minus_triple(symmetric, tol)
     thr = 0.0 if m.mode == RATIONAL else tol.eq_tol
@@ -313,11 +297,8 @@ def standard_embedding(m: LieTripleSystem,
 
     z_ambient = lie_center(ambient, tol)
     z_m = lt.center(m, tol)
-    embedded = []
-    for v in z_m.basis:
-        vec = nx.zeros((n,), m.mode)
-        vec[h:] = v
-        embedded.append(vec)
+    embedded = nx.zeros((z_m.dim, n), m.mode)
+    embedded[:, h:] = z_m.basis
     z_embedded = lt.subspace_from_vectors(n, embedded, m.mode, tol)
     if not z_ambient.equals(z_embedded, tol):
         raise AxiomDefectError("ambient center differs from the embedded center")

@@ -124,8 +124,7 @@ def _derive_sla(pair: MatrixSymmetricPair, mats, mode: str) -> sl.SymmetricLieAl
     d = len(mats)
     n = pair.ambient_n
     stack = np.array(mats, dtype=mats[0].dtype)
-    flat = list(stack.reshape(d, n * n))
-    comms = list(nx.commutators(stack, stack).reshape(d * d, n * n))
+    comms = nx.commutators(stack, stack).reshape(d * d, n * n)
     if mode == RATIONAL and pair.exact_sigma_matrix is not None:
         jm = pair.exact_sigma_matrix
         # J A_i J^-1 for every basis matrix, with J inverted once
@@ -136,22 +135,15 @@ def _derive_sla(pair: MatrixSymmetricPair, mats, mode: str) -> sl.SymmetricLieAl
         images = -stack.transpose(0, 2, 1)
     else:
         images = np.array([theta_tangent(pair, m) for m in mats])
-    all_coords = nx.coordinates_in_span_many(flat, comms + list(images.reshape(d, n * n)))
-    tensor = nx.zeros((d, d, d), mode)
-    for i in range(d):
-        for j in range(d):
-            coords = all_coords[i * d + j]
-            if coords is None:
-                raise PairInputError("lie_basis is not closed under commutators")
-            tensor[i, j, :] = coords
-    algebra = sl.LieAlgebra(d, tensor, mode)
-    theta = nx.zeros((d, d), mode)
-    for i in range(d):
-        coords = all_coords[d * d + i]
-        if coords is None:
-            raise PairInputError("theta does not preserve the Lie algebra span")
-        theta[:, i] = coords
-    return sl.SymmetricLieAlgebra(algebra, theta)
+    coords, inside = nx.coordinates_in_span_many(
+        stack.reshape(d, n * n), np.concatenate([comms, images.reshape(d, n * n)]))
+    if not inside[:d * d].all():
+        raise PairInputError("lie_basis is not closed under commutators")
+    if not inside[d * d:].all():
+        raise PairInputError("theta does not preserve the Lie algebra span")
+    # column i of theta holds the coordinates of the image of basis vector i
+    return sl.SymmetricLieAlgebra(sl.LieAlgebra(d, coords[:d * d].reshape(d, d, d), mode),
+                                  coords[d * d:].T)
 
 
 def minus_triple(pair: MatrixSymmetricPair) -> tuple[lt.LieTripleSystem, lt.Subspace]:

@@ -489,3 +489,137 @@ def kernel_outcome(lat, meta_keys):
     """Verdict, generators, witness and the named meta entries, compared with ==."""
     gens = tuple(np.asarray(g).tobytes() for g in lat.generators)
     return (*search_outcome(lat, meta_keys), gens)
+
+
+# ------------------------------------------- span membership, one target at a time
+# The per-target solves that the batched span kernel replaced, as they ran
+# before it: one row reduction (exact) or one least-squares call (float) per
+# vector.  The structure checks below call them in their original loops.
+
+def solve_exact_loops(a, b):
+    """Solve a @ x = b over the rationals; None if inconsistent."""
+    from triplekit.numerics import RATIONAL, rref, zeros
+    rows, cols = a.shape
+    aug = zeros((rows, cols + 1), RATIONAL)
+    aug[:, :cols] = a
+    aug[:, cols] = b
+    red, pivots = rref(aug)
+    if cols in pivots:
+        return None
+    x = zeros((cols,), RATIONAL)
+    for r_idx, p in enumerate(pivots):
+        x[p] = red[r_idx, cols]
+    return x
+
+
+def coordinates_in_span_loops(basis, v, tol=None):
+    """Coordinates of v in the row span of basis, or None if v is outside.
+
+    Float mode accepts v when the least-squares residual is at most
+    membership_tol * max(1, |v|).
+    """
+    from triplekit.numerics import DEFAULT_TOLERANCE, RATIONAL, max_abs, mode_of, zeros
+    tol = tol or DEFAULT_TOLERANCE
+    if not basis:
+        if max_abs(v) == 0.0:
+            return zeros((0,), mode_of(v))
+        return None
+    mode = mode_of(basis[0])
+    bmat = np.array(basis, dtype=basis[0].dtype)
+    if mode == RATIONAL:
+        return solve_exact_loops(bmat.T, v)
+    coords, _, _, _ = np.linalg.lstsq(bmat.T, v, rcond=None)
+    residual = float(np.linalg.norm(bmat.T @ coords - v))
+    if residual <= tol.membership_tol * max(1.0, float(np.linalg.norm(v))):
+        return coords
+    return None
+
+
+def contains_loops(sub, v, tol=None):
+    return coordinates_in_span_loops(list(sub.basis), v, tol) is not None
+
+
+def is_subsystem_loops(m, sub, tol=None):
+    from triplekit.lts import bracket_eval
+    for x in sub.basis:
+        for y in sub.basis:
+            for z in sub.basis:
+                if not contains_loops(sub, bracket_eval(m, x, y, z), tol):
+                    return False
+    return True
+
+
+def is_ideal_loops(m, sub, tol=None):
+    """bracket(n, m, m) inside n, then the two companion containments."""
+    from triplekit import numerics as nx
+    from triplekit.lts import LtsStructureError
+    d = m.dim
+    for x in sub.basis:
+        first = nx.contract(x, m.tensor, axes=(0, 0))  # [j, k, l]
+        for j in range(d):
+            for k in range(d):
+                if not contains_loops(sub, first[j, k], tol):
+                    return False
+    for x in sub.basis:
+        mid = nx.contract(x, m.tensor, axes=(0, 1))
+        last = nx.contract(x, m.tensor, axes=(0, 2))
+        for j in range(d):
+            for k in range(d):
+                if not contains_loops(sub, mid[j, k], tol) or not contains_loops(sub, last[j, k], tol):
+                    raise LtsStructureError(
+                        "ideal closure is one-sided; tensor is not a Lie triple system")
+    return True
+
+
+def plus_closure_loops(g, plus, tol=None):
+    """Raise unless the bracket of every pair of plus basis vectors stays in plus."""
+    from triplekit.symlie import InvolutionDefectError, lie_bracket_eval
+    for u in plus.basis:
+        for v in plus.basis:
+            if not contains_loops(plus, lie_bracket_eval(g, u, v), tol):
+                raise InvolutionDefectError("+1 eigenspace is not a subalgebra")
+
+
+def embedding_tensor_loops(m, tol=None):
+    """Operators and ambient structure tensor of the standard embedding.
+
+    The greedy operator selection and the three coordinate loops, each
+    operator solved on its own; raises AxiomDefectError where the embedding
+    does.
+    """
+    from triplekit import numerics as nx
+    from triplekit.symlie import AxiomDefectError
+    d = m.dim
+    ops = []
+    for i in range(d):
+        for j in range(d):
+            cand = m.tensor[i, j].T  # maps e_k to the bracket of (e_i, e_j, e_k)
+            if nx.max_abs(cand) == 0.0:
+                continue
+            if coordinates_in_span_loops([o.reshape(-1) for o in ops], cand.reshape(-1), tol) is None:
+                ops.append(cand)
+    h = len(ops)
+    n = h + d
+    flat_ops = [o.reshape(-1) for o in ops]
+    tensor = nx.zeros((n, n, n), m.mode)
+    stack = np.array(ops, dtype=m.tensor.dtype).reshape(h, d, d)
+    comms = nx.commutators(stack, stack)
+    for a in range(h):
+        for b in range(h):
+            coords = coordinates_in_span_loops(flat_ops, comms[a, b].reshape(-1), tol)
+            if coords is None:
+                raise AxiomDefectError("operator span is not closed under commutators")
+            tensor[a, b, :h] = coords
+    for a in range(h):
+        for k in range(d):
+            col = ops[a][:, k]
+            tensor[a, h + k, h:] = col
+            tensor[h + k, a, h:] = -col
+    for i in range(d):
+        for j in range(d):
+            cand = m.tensor[i, j].T
+            coords = coordinates_in_span_loops(flat_ops, cand.reshape(-1), tol)
+            if coords is None:
+                raise AxiomDefectError("bracket operator escaped the operator span")
+            tensor[h + i, h + j, :h] = coords
+    return ops, tensor

@@ -15,6 +15,7 @@ from triplekit import lts as lt
 from triplekit import symlie as sl
 from triplekit import sympair as sp
 from triplekit.cli import main
+from triplekit.numerics import TolerancePolicy
 
 from oracles import antisymmetry_defect_loops, cyclic_defect_loops, kernel_lattice_1d_loops
 
@@ -197,6 +198,19 @@ def test_failing_check_json_is_byte_identical(tmp_path, capsys, build):
     jsonio.save(path, m)
     assert main(["check", str(path), "--json"]) == 1
     assert capsys.readouterr().out == want
+
+
+def test_tol_reaches_symmetric_algebra_documents(tmp_path, capsys):
+    # theta squares to the identity only up to 1e-7: a violation at the
+    # default tolerance 1e-9, accepted under --tol 1e-6
+    g = fx.so_symmetric_algebra(2).algebra.to_float()
+    theta = np.diag([1.0, -1.0, -1.0]) * (1.0 + 5e-8)
+    path = tmp_path / "sym.json"
+    jsonio.save(path, sl.SymmetricLieAlgebra(g, theta, TolerancePolicy(eq_tol=1e-6)))
+    assert main(["check", str(path)]) == 1
+    assert "theta squared is not the identity" in capsys.readouterr().out
+    assert main(["check", str(path), "--tol", "1e-6"]) == 0
+    assert "ok: True" in capsys.readouterr().out
 
 
 def test_quotient_with_ideal_file(gallery_dir, tmp_path, capsys):

@@ -1,5 +1,6 @@
-"""Property tests for the exact contraction kernel, the float subgroup
-search and the stacked matrix exponential (need hypothesis)."""
+"""Property tests for the exact contraction kernel, the batched span kernel,
+the float subgroup search and the stacked matrix exponential (need
+hypothesis)."""
 
 import math
 from fractions import Fraction
@@ -13,8 +14,8 @@ st = pytest.importorskip("hypothesis.strategies")
 from triplekit import numerics as nx  # noqa: E402
 from triplekit import periods as pd  # noqa: E402
 
-from oracles import (float_subgroup_loops, matrix_exp_loops, search_outcome,  # noqa: E402
-                     tensordot_loops)
+from oracles import (coordinates_in_span_loops, float_subgroup_loops,  # noqa: E402
+                     matrix_exp_loops, search_outcome, tensordot_loops)
 
 fractions = st.builds(Fraction, st.integers(-2 ** 70, 2 ** 70), st.integers(1, 2 ** 12))
 
@@ -48,6 +49,37 @@ def test_exact_and_float_routes_agree_on_integers(xs, ys):
     exact = nx.contract(a, b, ([2, 1], [0, 2]))
     float_ = nx.contract(nx.to_float(a), nx.to_float(b), ([2, 1], [0, 2]))
     assert np.array_equal(nx.to_float(exact), float_)
+
+
+@st.composite
+def span_problems(draw):
+    """A basis, often dependent, and targets half of which are combinations of it."""
+    n, k, count = draw(st.integers(1, 4)), draw(st.integers(0, 4)), draw(st.integers(0, 5))
+    small = st.one_of(st.integers(-3, 3).map(Fraction),
+                      st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4)))
+    vector = st.lists(small, min_size=n, max_size=n).map(nx.rational_array)
+    basis = draw(st.lists(vector, min_size=k, max_size=k))
+    targets = []
+    for _ in range(count):
+        if basis and draw(st.booleans()):
+            coeffs = draw(st.lists(small, min_size=k, max_size=k))
+            targets.append(sum((c * b for c, b in zip(coeffs, basis)), nx.zeros((n,), nx.RATIONAL)))
+        else:
+            targets.append(draw(vector))
+    return basis, targets
+
+
+@hypothesis.settings(max_examples=80, deadline=None)
+@hypothesis.given(span_problems())
+def test_batched_exact_coordinates_equal_per_target(problem):
+    basis, targets = problem
+    coords, inside = nx.coordinates_in_span_many(basis, targets)
+    assert coords.shape == (len(targets), len(basis))
+    for t, v in enumerate(targets):
+        want = coordinates_in_span_loops(basis, v)
+        assert bool(inside[t]) == (want is not None)
+        if want is not None:
+            assert list(coords[t]) == list(want)
 
 
 @st.composite

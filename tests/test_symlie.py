@@ -224,8 +224,7 @@ def _random_unimodular(rng, d):
 def _conjugate_symmetric_algebra(sla, s):
     g = sla.algebra
     d = g.dim
-    sinv_cols = [nx.solve_exact(s, nx.identity(d, nx.RATIONAL)[i]) for i in range(d)]
-    sinv = np.array(sinv_cols, dtype=object).T
+    sinv = nx.inverse(s)
     new_basis = [s.T[i] for i in range(d)]  # row i holds the new basis vector
     tensor = nx.zeros((d, d, d), nx.RATIONAL)
     for i in range(d):
