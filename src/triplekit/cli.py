@@ -194,7 +194,7 @@ def cmd_quotient(args) -> int:
     if args.ideal:
         with open(args.ideal) as f:
             doc = json.load(f)
-        vecs = [np.array([jsonio._dec(x, obj.mode) for x in row],
+        vecs = [np.array([jsonio._decoder(obj.mode)(x) for x in row],
                          dtype=object if obj.mode == RATIONAL else float)
                 for row in doc["vectors"]]
         ideal = lt.subspace_from_vectors(obj.dim, vecs, obj.mode, tol)

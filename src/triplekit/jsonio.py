@@ -28,8 +28,9 @@ def _enc(x, mode):
     return str(x) if mode == RATIONAL else float(x)
 
 
-def _dec(v, mode):
-    return Fraction(v) if mode == RATIONAL else float(v)
+def _decoder(mode):
+    """Parser of one JSON value: exact values come from their fraction strings."""
+    return Fraction if mode == RATIONAL else float
 
 
 def _enc_matrix(m, mode):
@@ -107,18 +108,31 @@ def pair_to_dict(pair: sp.MatrixSymmetricPair) -> dict:
 def lts_from_dict(doc: dict) -> lt.LieTripleSystem:
     d = int(doc["dim"])
     mode = doc["mode"]
+    dec = _decoder(mode)
     tensor = nx.zeros((d, d, d, d), mode)
-    for i, j, k, l, v in doc["bracket"]:
-        tensor[i, j, k, l] = _dec(v, mode)
+    # one entry at a time: building index arrays first measured slower
+    try:
+        for i, j, k, l, v in doc["bracket"]:
+            if not (0 <= i < d and 0 <= j < d and 0 <= k < d and 0 <= l < d):
+                raise IndexError(f"index {[i, j, k, l]} is outside [0, {d})")
+            tensor[i, j, k, l] = dec(v)
+    except (IndexError, TypeError, ValueError) as e:
+        raise FormatError(f"bad lts bracket entry: {e}") from e
     return lt.LieTripleSystem(d, tensor, mode, _labels_in(doc.get("labels")))
 
 
 def lie_from_dict(doc: dict) -> sl.LieAlgebra:
     d = int(doc["dim"])
     mode = doc["mode"]
+    dec = _decoder(mode)
     tensor = nx.zeros((d, d, d), mode)
-    for i, j, k, v in doc["bracket"]:
-        tensor[i, j, k] = _dec(v, mode)
+    try:
+        for i, j, k, v in doc["bracket"]:
+            if not (0 <= i < d and 0 <= j < d and 0 <= k < d):
+                raise IndexError(f"index {[i, j, k]} is outside [0, {d})")
+            tensor[i, j, k] = dec(v)
+    except (IndexError, TypeError, ValueError) as e:
+        raise FormatError(f"bad lie bracket entry: {e}") from e
     return sl.LieAlgebra(d, tensor, mode, _labels_in(doc.get("labels")))
 
 

@@ -13,8 +13,15 @@ import numpy as np
 from triplekit import numerics as nx
 from triplekit.numerics import DEFAULT_TOLERANCE, FLOAT, RATIONAL, TolerancePolicy
 
-# keeps the O(dim^5) axiom sweep tractable
+# verify_axioms takes O(dim^7) time and O(dim^5) memory.  On a 2-CPU Xeon
+# with one BLAS thread a float check of a random tensor took 0.6 s with a
+# 58.5 MiB tracemalloc peak at dim 18 and 6.2 s with 245 MiB at dim 24,
+# which extrapolates to about 46 s and 1.0 GiB at the cap.
 MAX_DIM = 32
+
+# entries of the derivation defect that verify_axioms holds at once, unless
+# one output slab (dim^5 entries) is larger
+SLAB_ENTRIES = 1 << 16
 
 PATH_ZERO_AT_START = "path_zero_at_start"
 LOOP_ZERO_AT_BOTH_ENDS = "loop_zero_at_both_ends"
@@ -46,6 +53,8 @@ class LieTripleSystem:
             raise LtsStructureError("tensor shape does not match dim")
         if nx.mode_of(self.tensor) != self.mode:
             raise ModeMismatchError("tensor dtype does not match declared mode")
+        if self.mode == FLOAT and not np.isfinite(self.tensor).all():
+            raise LtsStructureError("tensor has a non-finite entry")
         if self.labels is not None and len(self.labels) != self.dim:
             raise LtsStructureError("label count does not match dim")
 
@@ -132,36 +141,53 @@ def verify_axioms(m: LieTripleSystem, tol: TolerancePolicy = DEFAULT_TOLERANCE) 
     identities on the integer numerators of the tensor and demands zero
     defect; float mode compares against eq_tol.  The witness is the first
     basis tuple attaining the worst defect.
+
+    The derivation identity D[i, j, u, v, w, l] is taken a block of output
+    slabs D[..., l0:l1] at a time, at most SLAB_ENTRIES entries or one
+    slab, so memory stays O(d^5).  A block contracts the whole tensor with
+    c[..., l0:l1]: each product keeps the full left operand of the d^6
+    contraction and only loses columns.  The witness is the first argmax
+    over all of D, as if D were one array.
     """
+    d = m.dim
     c, s = nx.numerators(m.tensor)
-    defects = []
-
-    anti = c + c.transpose(1, 0, 2, 3)
-    defects.append(("left_antisymmetry", anti, s))
-
-    cyc = c + c.transpose(2, 0, 1, 3) + c.transpose(1, 2, 0, 3)
-    defects.append(("cyclic_sum", cyc, s))
-
-    # derivation identity: four contractions summed, index order fixed to
-    # (i, j, u, v, w, l) in every term
-    inner = nx.contract_numerators(c, c, axes=([3], [2]), terms=4)   # [u,v,w,i,j,l]
-    lhs = inner.transpose(3, 4, 0, 1, 2, 5)
-    t1 = nx.contract_numerators(c, c, axes=([3], [0]), terms=4)      # [i,j,u,v,w,l]
-    t2 = nx.contract_numerators(c, c, axes=([3], [1]), terms=4)      # [i,j,v,u,w,l]
-    t2 = t2.transpose(0, 1, 3, 2, 4, 5)
-    t3 = nx.contract_numerators(c, c, axes=([3], [2]), terms=4)      # [i,j,w,u,v,l]
-    t3 = t3.transpose(0, 1, 3, 4, 2, 5)
-    defects.append(("derivation", lhs - t1 - t2 - t3, s * s))
-
     worst = 0.0
     worst_name = None
     worst_witness = None
-    for name, d, scale in defects:
-        v = nx.defect_size(d, scale)
+    for name, defect in (
+            ("left_antisymmetry", c + c.transpose(1, 0, 2, 3)),
+            ("cyclic_sum", c + c.transpose(2, 0, 1, 3) + c.transpose(1, 2, 0, 3))):
+        v = nx.defect_size(defect, s)
         if v > worst:
-            worst = v
-            worst_name = name
-            worst_witness = np.unravel_index(int(np.argmax(np.abs(d))), d.shape)
+            worst, worst_name = v, name
+            worst_witness = np.unravel_index(int(np.argmax(np.abs(defect))), defect.shape)
+
+    # derivation identity, four terms in index order (i, j, u, v, w, l):
+    # c[u,v,w,m] c[i,j,m,l] - c[i,j,u,m] c[m,v,w,l] - c[i,j,v,m] c[u,m,w,l]
+    # - c[i,j,w,m] c[u,v,m,l].  One contraction p[x,y,z,a,b,l] =
+    # c[x,y,z,m] c[a,b,m,l] gives the first term and the last.
+    c = nx.int64_numerators(c, terms=4, k=d)
+    step = max(1, SLAB_ENTRIES // max(1, d ** 5))
+    size, first = 0, None     # largest |D| and its first flat index in D
+    for l0 in range(0, d, step):
+        cl = c[..., l0:l0 + step]
+        p = nx.contract_numerators(c, cl, axes=([3], [2]), terms=4)
+        block = p.transpose(3, 4, 0, 1, 2, 5) \
+            - nx.contract_numerators(c, cl, axes=([3], [0]), terms=4)
+        block -= nx.contract_numerators(c, cl, axes=([3], [1]), terms=4).transpose(0, 1, 3, 2, 4, 5)
+        block -= p.transpose(0, 1, 3, 4, 2, 5)
+        top = nx.defect_size(block, s * s)
+        # the flat index of (i, j, u, v, w, l) in D is pos * d + l, so ties
+        # go to the first tuple, as one argmax over all of D would choose
+        if top > 0 and top >= size:
+            pos, lc = divmod(int(np.argmax(np.abs(block))), block.shape[-1])
+            flat = pos * d + l0 + lc
+            if top > size or flat < first:
+                size, first = top, flat
+    if size > worst:
+        worst, worst_name = size, "derivation"
+        worst_witness = np.unravel_index(first, (d,) * 6)
+
     threshold = 0.0 if m.mode == RATIONAL else tol.eq_tol
     ok = worst <= threshold
     return AxiomReport(ok, float(worst), None if ok else worst_name,

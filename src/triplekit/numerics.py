@@ -112,6 +112,18 @@ def frobenius(a: np.ndarray) -> float:
     return float(np.linalg.norm(a.reshape(-1)))
 
 
+def row_norms(a: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a float (T, n) array, as np.linalg.norm
+    computes it.
+
+    np.linalg.norm takes sqrt(v.dot(v)) of a row; a (1, n) @ (n, 1) product
+    on a contiguous row is the same BLAS dot, so the bits agree.  A sum over
+    axis=1 adds in another order and would not.
+    """
+    rows = np.ascontiguousarray(a)[:, np.newaxis, :]
+    return np.sqrt((rows @ rows.transpose(0, 2, 1))[:, 0, 0])
+
+
 def max_abs(a: np.ndarray) -> float:
     if a.size == 0:
         return 0.0
@@ -161,6 +173,19 @@ def _contracted_size(a: np.ndarray, axes) -> int:
         return math.prod(a.shape[a.ndim - axes:])
     ax = axes[0]
     return math.prod(a.shape[i] for i in ([ax] if isinstance(ax, int) else ax))
+
+
+def int64_numerators(n: np.ndarray, terms: int, k: int) -> np.ndarray:
+    """Integer numerators in int64 when contract_numerators would run every
+    contraction of n with a part of itself in int64 anyway: sums of terms
+    contractions over k indices stay below 2**62.  Otherwise, and for float
+    arrays, n is returned unchanged.  An operand contracted many times is
+    cleared once, not in every call.
+    """
+    if n.dtype != object:
+        return n
+    top = _max_abs_int(n)
+    return n.astype(np.int64) if terms * k * top * top < INT64_BOUND else n
 
 
 def contract_numerators(na: np.ndarray, nb: np.ndarray, axes=2, terms: int = 1) -> np.ndarray:
@@ -374,10 +399,8 @@ def coordinates_in_span_many(basis, targets, tol: TolerancePolicy = DEFAULT_TOLE
         coords[:, pivots] = red[:len(pivots), k:].T
         return coords, (red[len(pivots):, k:] == 0).all(axis=0)
     coords, _, _, _ = np.linalg.lstsq(bmat.T, tmat.T, rcond=None)
-    recon = bmat.T @ coords
-    inside = np.array([float(np.linalg.norm(recon[:, j] - tmat[j]))
-                       <= tol.membership_tol * max(1.0, float(np.linalg.norm(tmat[j])))
-                       for j in range(count)], dtype=bool)
+    resid = row_norms(np.subtract((bmat.T @ coords).T, tmat, order="C"))
+    inside = resid <= tol.membership_tol * np.maximum(1.0, row_norms(tmat))
     return coords.T, inside
 
 

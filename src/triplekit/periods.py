@@ -262,14 +262,13 @@ def _float_subgroup(generators, config: SubgroupSearchConfig) -> KernelLattice:
     as_float = coeffs.astype(float)
     for i in range(k):
         vectors = vectors + as_float[:, i:i + 1] * gmat[i]
-    # the batched norms may differ from np.linalg.norm in the last bits, so
-    # they only preselect; the decision reads np.linalg.norm of each vector
+    # the einsum norms may differ from np.linalg.norm in the last bits, so
+    # they only preselect; the decision reads row_norms, which agrees with it
     rough = np.sqrt(np.einsum("ij,ij->i", vectors, vectors))
-    witnesses = []
-    for r in np.flatnonzero(rough < 2.0 * eps):
-        nrm = float(np.linalg.norm(vectors[r]))
-        if relation_floor < nrm < eps:
-            witnesses.append((tuple(coeffs[r].tolist()), r, nrm))
+    near = np.flatnonzero(rough < 2.0 * eps)
+    witnesses = [(tuple(coeffs[r].tolist()), r, float(nrm))
+                 for r, nrm in zip(near, nx.row_norms(vectors[near]))
+                 if relation_floor < nrm < eps]
 
     meta = {"route": "integer_relation_search",
             "lll_iterations": reduction.iterations,

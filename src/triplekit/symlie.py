@@ -46,6 +46,8 @@ class LieAlgebra:
             raise AxiomDefectError("tensor shape does not match dim")
         if nx.mode_of(self.tensor) != self.mode:
             raise lt.ModeMismatchError("tensor dtype does not match declared mode")
+        if self.mode == FLOAT and not np.isfinite(self.tensor).all():
+            raise AxiomDefectError("tensor has a non-finite entry")
 
     def to_float(self) -> "LieAlgebra":
         if self.mode == FLOAT:

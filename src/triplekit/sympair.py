@@ -196,17 +196,6 @@ def base_point(pair: MatrixSymmetricPair) -> CosetPoint:
     return CosetPoint(pair, np.eye(pair.ambient_n))
 
 
-def _frobenius_slices(m: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each (n, n) slice, as np.linalg.norm computes it.
-
-    np.linalg.norm takes sqrt(v.dot(v)) of the raveled matrix; a (1, N) @
-    (N, 1) product is the same BLAS dot per slice, so the bits agree.  A sum
-    over axis=(1, 2) adds in another order and would not.
-    """
-    flat = m.reshape(m.shape[0], 1, -1)
-    return np.sqrt((flat @ np.swapaxes(flat, 1, 2))[:, 0, 0])
-
-
 def fixed_group_residual(pair: MatrixSymmetricPair, g: np.ndarray):
     """Scale-free distance of a group element from the sigma-fixed subgroup.
 
@@ -214,8 +203,10 @@ def fixed_group_residual(pair: MatrixSymmetricPair, g: np.ndarray):
     an array of k residuals; entry i equals the residual of g[i] bit for bit.
     """
     stack = g if g.ndim == 3 else g[np.newaxis]
-    num = _frobenius_slices(pair.sigma.apply(stack) - stack)
-    den = np.maximum(_frobenius_slices(stack), 1e-300)
+    # Frobenius norms per slice, bit for bit as np.linalg.norm gives them
+    k = len(stack)
+    num = nx.row_norms((pair.sigma.apply(stack) - stack).reshape(k, -1))
+    den = np.maximum(nx.row_norms(stack.reshape(k, -1)), 1e-300)
     res = num / den
     return res if g.ndim == 3 else float(res[0])
 

@@ -623,3 +623,49 @@ def embedding_tensor_loops(m, tol=None):
                 raise AxiomDefectError("bracket operator escaped the operator span")
             tensor[h + i, h + j, :h] = coords
     return ops, tensor
+
+
+# ------------------------------------------- axiom check on the whole d^6 array
+# lts.verify_axioms as it ran before the output-slab loop: the derivation
+# identity from four contractions of the full tensor with itself, each a d^6
+# array.  Kept verbatim (names aside) so that the slab loop can be held to
+# the same worst value and witness, ties included.
+
+def verify_axioms_d6(m, tol=None):
+    from triplekit import numerics as nx
+    from triplekit.lts import AxiomReport
+    from triplekit.numerics import DEFAULT_TOLERANCE, RATIONAL
+    tol = tol or DEFAULT_TOLERANCE
+    c, s = nx.numerators(m.tensor)
+    defects = []
+
+    anti = c + c.transpose(1, 0, 2, 3)
+    defects.append(("left_antisymmetry", anti, s))
+
+    cyc = c + c.transpose(2, 0, 1, 3) + c.transpose(1, 2, 0, 3)
+    defects.append(("cyclic_sum", cyc, s))
+
+    # derivation identity: four contractions summed, index order fixed to
+    # (i, j, u, v, w, l) in every term
+    inner = nx.contract_numerators(c, c, axes=([3], [2]), terms=4)   # [u,v,w,i,j,l]
+    lhs = inner.transpose(3, 4, 0, 1, 2, 5)
+    t1 = nx.contract_numerators(c, c, axes=([3], [0]), terms=4)      # [i,j,u,v,w,l]
+    t2 = nx.contract_numerators(c, c, axes=([3], [1]), terms=4)      # [i,j,v,u,w,l]
+    t2 = t2.transpose(0, 1, 3, 2, 4, 5)
+    t3 = nx.contract_numerators(c, c, axes=([3], [2]), terms=4)      # [i,j,w,u,v,l]
+    t3 = t3.transpose(0, 1, 3, 4, 2, 5)
+    defects.append(("derivation", lhs - t1 - t2 - t3, s * s))
+
+    worst = 0.0
+    worst_name = None
+    worst_witness = None
+    for name, d, scale in defects:
+        v = nx.defect_size(d, scale)
+        if v > worst:
+            worst = v
+            worst_name = name
+            worst_witness = np.unravel_index(int(np.argmax(np.abs(d))), d.shape)
+    threshold = 0.0 if m.mode == RATIONAL else tol.eq_tol
+    ok = worst <= threshold
+    return AxiomReport(ok, float(worst), None if ok else worst_name,
+                       None if ok else worst_witness)

@@ -128,6 +128,34 @@ def test_malformed_json_is_input_error(tmp_path, capsys):
     assert rc == 2
 
 
+def _float_bracket_doc(tmp_path, entries, dim=2, kind="lts"):
+    """A float bracket document written as raw JSON text (NaN included)."""
+    p = tmp_path / f"{kind}.json"
+    p.write_text(json.dumps({"kind": kind, "dim": dim, "mode": "float", "labels": None,
+                             "bracket": entries}))
+    return str(p)
+
+
+@pytest.mark.parametrize("entries,message", [
+    ([[0, 1, 0, 1, float("nan")], [1, 0, 0, 1, -1.0]], "non-finite"),
+    ([[0, 1, 0, 5, 1.0]], "outside [0, 2)"),
+    ([[0, 1, 0, -1, 1.0], [1, 0, 0, -1, -1.0]], "outside [0, 2)"),
+    ([[0, 1, 0, 1.0]], "bad lts bracket entry"),
+], ids=["nan_value", "index_past_dim", "negative_index", "short_entry"])
+def test_broken_float_lts_is_input_error(tmp_path, capsys, entries, message):
+    rc = main(["check", _float_bracket_doc(tmp_path, entries), "--json"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert message in captured.err
+
+
+@pytest.mark.parametrize("entries", [[[0, 1, 2, 1.0]], [[0, -1, 1, 1.0]], [[0, 1, 1]]])
+def test_broken_lie_entries_are_format_errors(tmp_path, entries):
+    with pytest.raises(jsonio.FormatError, match="bad lie bracket entry"):
+        jsonio.load(_float_bracket_doc(tmp_path, entries, kind="lie"))
+
+
 def test_noncentral_period_direction_is_input_error(gallery_dir, capsys):
     rc = main(["period", str(gallery_dir / "pair_u2_mod_o2.json"),
                "--coords", "1,0,0,0"])

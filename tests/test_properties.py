@@ -1,6 +1,6 @@
 """Property tests for the exact contraction kernel, the batched span kernel,
-the float subgroup search and the stacked matrix exponential (need
-hypothesis)."""
+the float subgroup search, the stacked matrix exponential and the axiom check
+(need hypothesis)."""
 
 import math
 from fractions import Fraction
@@ -11,11 +11,12 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
+from triplekit import lts as lt  # noqa: E402
 from triplekit import numerics as nx  # noqa: E402
 from triplekit import periods as pd  # noqa: E402
 
 from oracles import (coordinates_in_span_loops, float_subgroup_loops,  # noqa: E402
-                     matrix_exp_loops, search_outcome, tensordot_loops)
+                     matrix_exp_loops, search_outcome, tensordot_loops, verify_axioms_d6)
 
 fractions = st.builds(Fraction, st.integers(-2 ** 70, 2 ** 70), st.integers(1, 2 ** 12))
 
@@ -117,3 +118,31 @@ def test_stacked_matrix_exp_matches_single_matrix_oracle(x):
     stacked = nx.matrix_exp(x)
     for i in range(x.shape[0]):
         assert np.array_equal(stacked[i], matrix_exp_loops(x[i]))
+
+
+@st.composite
+def triple_tensors(draw):
+    """Tensors up to d = 8 in either mode: sparse or dense, small integers
+    (whose defects tie) or floats, and sometimes projected so that only the
+    derivation identity can fail."""
+    d = draw(st.integers(1, 8))
+    exact = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    t = rng.integers(-2, 3, size=(d,) * 4)
+    t = t * (rng.random((d,) * 4) < draw(st.sampled_from([0.02, 0.2, 1.0])))
+    if draw(st.booleans()):
+        t = t - t.transpose(1, 0, 2, 3)
+        t = 2 * t - t.transpose(1, 2, 0, 3) - t.transpose(2, 0, 1, 3)
+    if exact:
+        return lt.LieTripleSystem(d, nx.rational_array(t.tolist()), nx.RATIONAL)
+    if draw(st.booleans()):
+        return lt.LieTripleSystem(d, t + rng.standard_normal((d,) * 4) * 1e-3, nx.FLOAT)
+    return lt.LieTripleSystem(d, t.astype(float), nx.FLOAT)
+
+
+@hypothesis.settings(max_examples=80, deadline=None)
+@hypothesis.given(triple_tensors())
+def test_axiom_check_matches_d6_oracle(m):
+    got, want = lt.verify_axioms(m), verify_axioms_d6(m)
+    assert (got.ok, got.worst_violation, got.identity, got.witness) \
+        == (want.ok, want.worst_violation, want.identity, want.witness)

@@ -93,6 +93,57 @@ def test_span_kernel_takes_arrays_and_lists_alike():
     assert list(coords[0]) == list(coords_l[0]) == [Fraction(2), Fraction(3)]
 
 
+def _float_span_cases():
+    """Tall (few long vectors), wide (more vectors than coordinates) and
+    rank-deficient float bases, each with targets inside, outside, zero and
+    far from the unit scale."""
+    rng = np.random.default_rng(SEED)
+    a = rng.standard_normal((4, 9))
+    cases = {
+        "tall": rng.standard_normal((3, 12)),
+        "wide": rng.standard_normal((12, 5)),
+        "rank_deficient": np.vstack([a, a[0] + 2.0 * a[1], 3.0 * a[2], np.zeros(9)]),
+    }
+    out = {}
+    for name, basis in cases.items():
+        n = basis.shape[1]
+        combos = rng.standard_normal((6, len(basis))) @ basis
+        targets = np.vstack([combos, 1e7 * combos[:2], rng.standard_normal((5, n)),
+                             1e-7 * rng.standard_normal((2, n)), np.zeros((1, n))])
+        out[name] = (basis, targets)
+    return out
+
+
+@pytest.mark.parametrize("name", ["tall", "wide", "rank_deficient"])
+def test_stacked_residual_norms_equal_per_target_norms(name):
+    basis, targets = _float_span_cases()[name]
+    coords = np.linalg.lstsq(basis.T, targets.T, rcond=None)[0]
+    recon = basis.T @ coords
+    per_target = np.array([np.linalg.norm(recon[:, j] - targets[j])
+                           for j in range(len(targets))])
+    stacked = nx.row_norms(np.subtract(recon.T, targets, order="C"))
+    assert stacked.tobytes() == per_target.tobytes()
+    target_norms = np.array([np.linalg.norm(t) for t in targets])
+    assert nx.row_norms(targets).tobytes() == target_norms.tobytes()
+    assert nx.row_norms(np.asfortranarray(targets)).tobytes() == target_norms.tobytes()
+    # the membership rule the kernel applied per target before
+    tol = nx.DEFAULT_TOLERANCE
+    want = [float(np.linalg.norm(recon[:, j] - targets[j]))
+            <= tol.membership_tol * max(1.0, float(np.linalg.norm(targets[j])))
+            for j in range(len(targets))]
+    _, inside = nx.coordinates_in_span_many(basis, targets, tol)
+    assert inside.tolist() == want
+
+
+@pytest.mark.parametrize("name", ["tall", "wide", "rank_deficient"])
+def test_float_membership_matches_per_target_loops(name):
+    basis, targets = _float_span_cases()[name]
+    inside = _assert_kernel_matches_loops(list(basis), list(targets))
+    expected_out = name != "wide"   # twelve vectors in general position span R^5
+    assert inside[:8].all() and inside[-1]
+    assert (not inside[8:13].any()) == expected_out
+
+
 def _random_rows(rng, count: int, d: int):
     return [rng.integers(-2, 3, size=d).tolist() for _ in range(count)]
 
