@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from dataclasses import replace
 from functools import cache
 
 import numpy as np
@@ -11,7 +12,7 @@ from triplekit import numerics as nx
 from triplekit import lts as lt
 from triplekit import symlie as sl
 from triplekit import sympair as sp
-from triplekit.numerics import FLOAT, RATIONAL
+from triplekit.numerics import RATIONAL
 
 
 # ---------------------------------------------------------------- matrix bases
@@ -64,48 +65,9 @@ def so_basis(n: int) -> list[np.ndarray]:
     return [_e(n, k, l) - _e(n, l, k) for k in range(n) for l in range(k + 1, n)]
 
 
-# ------------------------------------------------------- builders from matrices
-
-def lie_from_matrices(mats: list[np.ndarray], labels=None) -> "sl.LieAlgebra":
-    """Structure constants of a matrix Lie algebra given by a closed basis."""
-    mode = nx.mode_of(mats[0])
-    d = len(mats)
-    stack = np.array(mats, dtype=mats[0].dtype)
-    comms = nx.commutators(stack, stack).reshape(d * d, -1)
-    coords, inside = nx.coordinates_in_span_many(stack.reshape(d, -1), comms)
-    if not inside.all():
-        raise lt.LtsStructureError("matrix basis is not closed under commutators")
-    return sl.LieAlgebra(d, coords.reshape(d, d, d), mode, tuple(labels) if labels else None)
-
-
-def lts_from_matrices(mats: list[np.ndarray], labels=None) -> lt.LieTripleSystem:
-    """Structure tensor of the double commutator bracket on a closed span."""
-    mode = nx.mode_of(mats[0])
-    d = len(mats)
-    n = mats[0].shape[0]
-    stack = np.array(mats, dtype=mats[0].dtype)
-    comms = nx.commutators(stack, stack).reshape(d * d, n, n)
-    doubles = nx.commutators(comms, stack).reshape(d * d * d, -1)
-    coords, inside = nx.coordinates_in_span_many(stack.reshape(d, -1), doubles)
-    if not inside.all():
-        raise lt.LtsStructureError("span is not closed under double commutators")
-    return lt.LieTripleSystem(d, coords.reshape(d, d, d, d), mode,
-                              tuple(labels) if labels else None)
-
-
-def _conjugation_theta(mats: list[np.ndarray], j: np.ndarray) -> np.ndarray:
-    """theta in basis coordinates for conjugation by an involutive j (j = j^-1).
-
-    Column i holds the coordinates of j A_i j.
-    """
-    d = len(mats)
-    stack = np.array(mats, dtype=object)
-    images = nx.contract(nx.contract(stack, j, axes=([2], [0])), j, axes=([1], [1]))
-    images = images.transpose(0, 2, 1).reshape(d, -1)
-    coords, inside = nx.coordinates_in_span_many(stack.reshape(d, -1), images)
-    if not inside.all():
-        raise lt.LtsStructureError("conjugation does not preserve the matrix span")
-    return coords.T
+def _labeled(obj, labels):
+    """A triple system or Lie algebra with basis labels, structure unchanged."""
+    return replace(obj, labels=tuple(labels))
 
 
 # ----------------------------------------------------------------- LTS gallery
@@ -134,10 +96,9 @@ def sphere_lts(n: int) -> lt.LieTripleSystem:
 @cache
 def u_minus_lts(n: int) -> lt.LieTripleSystem:
     """Realified i*Sym(n), the odd part of u(n) under conjugation."""
-    mats = imaginary_symmetric_basis_realified(n)
     labels = [f"iE{k + 1}{k + 1}" for k in range(n)]
     labels += [f"iS{k + 1}{l + 1}" for k in range(n) for l in range(k + 1, n)]
-    return lts_from_matrices(mats, labels)
+    return _labeled(sp.minus_triple(u_modulo_o_pair(n))[0], labels)
 
 
 @cache
@@ -151,7 +112,7 @@ def heisenberg_lie() -> "sl.LieAlgebra":
 
 @cache
 def so3_lie() -> "sl.LieAlgebra":
-    return lie_from_matrices(so_basis(3), ("L12", "L13", "L23"))
+    return _labeled(sp.derived_symmetric_algebra(sphere_pair(2)).algebra, ("L12", "L13", "L23"))
 
 
 @cache
@@ -172,19 +133,13 @@ def u_symmetric_algebra(n: int) -> "sl.SymmetricLieAlgebra":
     Fixed part is the realified real antisymmetric matrices, odd part the
     realified i*Sym(n).
     """
-    mats = unitary_basis_realified(n)
-    theta = _conjugation_theta(mats, conjugation_matrix_realified(n))
-    return sl.SymmetricLieAlgebra(lie_from_matrices(mats), theta)
+    return sp.derived_symmetric_algebra(u_modulo_o_pair(n))
 
 
 @cache
 def so_symmetric_algebra(n: int) -> "sl.SymmetricLieAlgebra":
     """so(n+1) with conjugation by diag(1, ..., 1, -1); odd part is the sphere."""
-    mats = so_basis(n + 1)
-    algebra = lie_from_matrices(mats)
-    j = nx.identity(n + 1, RATIONAL)
-    j[n, n] = Fraction(-1)
-    return sl.SymmetricLieAlgebra(algebra, _conjugation_theta(mats, j))
+    return sp.derived_symmetric_algebra(sphere_pair(n))
 
 
 def flip_symmetric_algebra(g: "sl.LieAlgebra") -> "sl.SymmetricLieAlgebra":
@@ -211,22 +166,22 @@ def su2_symmetric_algebra() -> "sl.SymmetricLieAlgebra":
         nx.realify(_e(2, 0, 1) - _e(2, 1, 0), zero),
         nx.realify(zero, _e(2, 0, 1) + _e(2, 1, 0)),
     ]
-    algebra = lie_from_matrices(mats, ("iH", "X", "iY"))
-    dmat = nx.zeros((2, 2), RATIONAL)
-    dmat[0, 0], dmat[1, 1] = Fraction(1), Fraction(-1)
-    j = nx.realify(dmat, zero)
-    return sl.SymmetricLieAlgebra(algebra, _conjugation_theta(mats, j))
+    j = nx.realify(_e(2, 0, 0) - _e(2, 1, 1), zero)
+    sla = sp.derived_symmetric_algebra(_conjugation_pair(mats, j, "SU(2)/U(1)"))
+    return replace(sla, algebra=_labeled(sla.algebra, ("iH", "X", "iY")))
 
 
 def broken_symmetric_algebra() -> tuple["sl.LieAlgebra", np.ndarray]:
     """gl(2) with an involution that is not an automorphism.
 
-    The -1 eigenspace span{E11 + E12, E21} is not closed under double
+    The algebra comes from GL(2) over O(2), sigma the transpose-inverse.
+    The -1 eigenspace span{E11 + E12, E21} of theta is not closed under double
     commutators: [[E11 + E12, E21], E11 + E12] = E11 - E22 - E21 + 2 E12
     has E12 coefficient 2 but E11 coefficient 1, so it leaves the span.
     """
     mats = [_e(2, 0, 0), _e(2, 0, 1), _e(2, 1, 0), _e(2, 1, 1)]
-    algebra = lie_from_matrices(mats, ("E11", "E12", "E21", "E22"))
+    gl2 = sp.MatrixSymmetricPair(2, mats, sp.SigmaTransposeInverse(), name="GL(2)/O(2)")
+    algebra = _labeled(sp.derived_symmetric_algebra(gl2).algebra, ("E11", "E12", "E21", "E22"))
     # theta = I - 2P, P the projection onto span{E11+E12, E21} along span{E12, E22}
     minus = [nx.rational_array([1, 1, 0, 0]), nx.rational_array([0, 0, 1, 0])]
     plus = [nx.rational_array([0, 1, 0, 0]), nx.rational_array([0, 0, 0, 1])]
@@ -243,35 +198,24 @@ def broken_symmetric_algebra() -> tuple["sl.LieAlgebra", np.ndarray]:
 
 # --------------------------------------------------------------- matrix pairs
 
+def _conjugation_pair(basis, j: np.ndarray, name: str) -> "sp.MatrixSymmetricPair":
+    """The pair of a rational matrix basis with sigma = conjugation by j."""
+    return sp.MatrixSymmetricPair(len(j), basis, sp.SigmaConjugation(j), name=name)
+
+
 @cache
 def u_modulo_o_pair(n: int) -> "sp.MatrixSymmetricPair":
     """Realified U(n) over O(n): sigma is conjugation by diag(I, -I)."""
-    basis = unitary_basis_realified(n)
-    j = conjugation_matrix_realified(n)
-    return sp.MatrixSymmetricPair(
-        ambient_n=2 * n,
-        lie_basis=[nx.to_float(b) for b in basis],
-        sigma=sp.SigmaConjugation(nx.to_float(j)),
-        name=f"U({n})/O({n})",
-        exact_basis=basis,
-        exact_sigma_matrix=j,
-    )
+    return _conjugation_pair(unitary_basis_realified(n), conjugation_matrix_realified(n),
+                             f"U({n})/O({n})")
 
 
 @cache
 def sphere_pair(n: int) -> "sp.MatrixSymmetricPair":
     """SO(n+1) over SO(n): sigma is conjugation by diag(1, ..., 1, -1)."""
-    basis = so_basis(n + 1)
     j = nx.identity(n + 1, RATIONAL)
     j[n, n] = Fraction(-1)
-    return sp.MatrixSymmetricPair(
-        ambient_n=n + 1,
-        lie_basis=[nx.to_float(b) for b in basis],
-        sigma=sp.SigmaConjugation(nx.to_float(j)),
-        name=f"SO({n + 1})/SO({n})",
-        exact_basis=basis,
-        exact_sigma_matrix=j,
-    )
+    return _conjugation_pair(so_basis(n + 1), j, f"SO({n + 1})/SO({n})")
 
 
 @cache
@@ -297,14 +241,7 @@ def group_double_pair(n: int) -> "sp.MatrixSymmetricPair":
     eye = nx.identity(m, RATIONAL)
     swap[:m, m:] = eye
     swap[m:, :m] = eye
-    return sp.MatrixSymmetricPair(
-        ambient_n=2 * m,
-        lie_basis=[nx.to_float(b) for b in basis],
-        sigma=sp.SigmaConjugation(nx.to_float(swap)),
-        name=f"U({n})+ as (U({n})xU({n}))/diagonal",
-        exact_basis=basis,
-        exact_sigma_matrix=swap,
-    )
+    return _conjugation_pair(basis, swap, f"U({n})+ as (U({n})xU({n}))/diagonal")
 
 
 def central_direction_u(n: int) -> np.ndarray:

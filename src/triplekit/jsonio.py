@@ -87,19 +87,12 @@ def symmetric_to_dict(sla: sl.SymmetricLieAlgebra) -> dict:
 
 
 def pair_to_dict(pair: sp.MatrixSymmetricPair) -> dict:
-    exact = pair.exact_basis is not None
-    mode = RATIONAL if exact else FLOAT
-    mats = pair.exact_basis if exact else pair.lie_basis
-    basis = [_enc_matrix(m, mode) for m in mats]
     if isinstance(pair.sigma, sp.SigmaTransposeInverse):
         sigma = "transpose_inverse"
     else:
-        if exact and pair.exact_sigma_matrix is not None:
-            sigma = {"conjugation_by": _enc_matrix(pair.exact_sigma_matrix, RATIONAL)}
-        else:
-            sigma = {"conjugation_by": _enc_matrix(pair.sigma.matrix, FLOAT)}
-    return {"kind": "pair", "ambient_n": pair.ambient_n, "mode": mode,
-            "basis": basis, "sigma": sigma,
+        sigma = {"conjugation_by": _enc_matrix(pair.sigma.matrix, pair.mode)}
+    return {"kind": "pair", "ambient_n": pair.ambient_n, "mode": pair.mode,
+            "basis": [_enc_matrix(m, pair.mode) for m in pair.basis], "sigma": sigma,
             "policy": pair.fixed_group_policy, "name": pair.name}
 
 
@@ -115,6 +108,9 @@ def lts_from_dict(doc: dict) -> lt.LieTripleSystem:
         for i, j, k, l, v in doc["bracket"]:
             if not (0 <= i < d and 0 <= j < d and 0 <= k < d and 0 <= l < d):
                 raise IndexError(f"index {[i, j, k, l]} is outside [0, {d})")
+            # a bool passes the range check, but numpy would read it as a mask
+            if type(i) is bool or type(j) is bool or type(k) is bool or type(l) is bool:
+                raise TypeError(f"index {[i, j, k, l]} is not an integer")
             tensor[i, j, k, l] = dec(v)
     except (IndexError, TypeError, ValueError) as e:
         raise FormatError(f"bad lts bracket entry: {e}") from e
@@ -130,6 +126,8 @@ def lie_from_dict(doc: dict) -> sl.LieAlgebra:
         for i, j, k, v in doc["bracket"]:
             if not (0 <= i < d and 0 <= j < d and 0 <= k < d):
                 raise IndexError(f"index {[i, j, k]} is outside [0, {d})")
+            if type(i) is bool or type(j) is bool or type(k) is bool:
+                raise TypeError(f"index {[i, j, k]} is not an integer")
             tensor[i, j, k] = dec(v)
     except (IndexError, TypeError, ValueError) as e:
         raise FormatError(f"bad lie bracket entry: {e}") from e
@@ -145,28 +143,17 @@ def symmetric_from_dict(doc: dict, tol: TolerancePolicy = DEFAULT_TOLERANCE
 
 def pair_from_dict(doc: dict) -> sp.MatrixSymmetricPair:
     mode = doc.get("mode", FLOAT)
-    exact = mode == RATIONAL
-    mats = [_dec_matrix(m, mode) for m in doc["basis"]]
-    lie_basis = [nx.to_float(m) for m in mats] if exact else mats
     sigma_doc = doc["sigma"]
-    exact_sigma = None
     if sigma_doc == "transpose_inverse":
         sigma = sp.SigmaTransposeInverse()
     elif isinstance(sigma_doc, dict) and "conjugation_by" in sigma_doc:
-        smat = _dec_matrix(sigma_doc["conjugation_by"], mode)
-        if exact:
-            exact_sigma = smat
-            sigma = sp.SigmaConjugation(nx.to_float(smat))
-        else:
-            sigma = sp.SigmaConjugation(smat)
+        sigma = sp.SigmaConjugation(_dec_matrix(sigma_doc["conjugation_by"], mode))
     else:
         raise FormatError("unknown sigma description")
     return sp.MatrixSymmetricPair(
-        int(doc["ambient_n"]), lie_basis, sigma,
+        int(doc["ambient_n"]), [_dec_matrix(m, mode) for m in doc["basis"]], sigma,
         fixed_group_policy=doc.get("policy", sp.FULL_FIXED_GROUP),
-        name=doc.get("name", ""),
-        exact_basis=mats if exact else None,
-        exact_sigma_matrix=exact_sigma)
+        name=doc.get("name", ""))
 
 
 # ------------------------------------------------------------------ file API

@@ -128,12 +128,6 @@ class AxiomReport:
     witness: tuple | None = None
 
 
-def bracket_eval(m: LieTripleSystem, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-    t = nx.contract(x, m.tensor, axes=(0, 0))
-    t = nx.contract(y, t, axes=(0, 0))
-    return nx.contract(z, t, axes=(0, 0))
-
-
 def verify_axioms(m: LieTripleSystem, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> AxiomReport:
     """Check the three defining identities on all basis tuples.
 

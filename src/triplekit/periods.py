@@ -477,7 +477,7 @@ def default_central_direction(pair) -> np.ndarray:
     unit Frobenius norm with a deterministic sign; periods along the default
     direction are reported in that unit.
     """
-    system, minus = sp.minus_triple_float(pair)
+    system, minus = sp.minus_triple(pair, FLOAT)
     z = lt.center(system)
     if z.dim != 1:
         raise CenterMismatchError(

@@ -47,17 +47,12 @@ class LieAlgebra:
         if nx.mode_of(self.tensor) != self.mode:
             raise lt.ModeMismatchError("tensor dtype does not match declared mode")
         if self.mode == FLOAT and not np.isfinite(self.tensor).all():
-            raise AxiomDefectError("tensor has a non-finite entry")
+            raise lt.LtsStructureError("tensor has a non-finite entry")
 
     def to_float(self) -> "LieAlgebra":
         if self.mode == FLOAT:
             return self
         return LieAlgebra(self.dim, nx.to_float(self.tensor), FLOAT, self.labels)
-
-
-def lie_bracket_eval(g: LieAlgebra, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    t = nx.contract(x, g.tensor, axes=(0, 0))
-    return nx.contract(y, t, axes=(0, 0))
 
 
 def verify_lie_axioms(g: LieAlgebra, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> AxiomReport:
@@ -117,6 +112,8 @@ class SymmetricLieAlgebra:
             raise InvolutionDefectError("theta shape does not match the algebra")
         if nx.mode_of(self.theta) != g.mode:
             raise lt.ModeMismatchError("theta mode does not match the algebra")
+        if g.mode == FLOAT and not np.isfinite(self.theta).all():
+            raise lt.LtsStructureError("theta has a non-finite entry")
         thr = 0.0 if g.mode == RATIONAL else self.tol.eq_tol
         if _square_defect(self.theta) > thr:
             raise InvolutionDefectError("theta squared is not the identity")

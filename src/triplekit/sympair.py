@@ -2,13 +2,16 @@
 
 A pair is a matrix group G (given by a basis of its Lie algebra inside
 gl(ambient_n)) together with an involutive group automorphism sigma, either
-conjugation g -> J g J^(-1) or g -> transpose-inverse.  Points of the quotient
-space are cosets g K, where K is the sigma-fixed subgroup; two representatives
-p, q name the same point when q^(-1) p lands in K.
+conjugation g -> J g J^(-1) or g -> transpose-inverse.  The basis and J are in
+one mode: Fraction for rational documents, so that the derived structure
+constants are exact, float otherwise.  Points of the quotient space are cosets
+g K, where K is the sigma-fixed subgroup; two representatives p, q name the
+same point when q^(-1) p lands in K.
 
 The quotient multiplies by g K . h K = g sigma(g)^(-1) sigma(h) K, which makes
 every point a symmetry of the space.  The exponential of the space is the
 group exponential of an odd tangent vector followed by the coset projection.
+Group elements and tangent matrices are always float.
 
 Kernel computations downstream treat the full fixed group as K by default;
 an identity-component heuristic can be switched on per pair, and is exactly
@@ -18,7 +21,6 @@ that, a heuristic (component detection from finite data is not decidable).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -37,17 +39,39 @@ class PairInputError(ValueError):
 
 @dataclass(frozen=True)
 class SigmaConjugation:
+    """sigma(g) = J g J^(-1), with J in the pair's mode.
+
+    Group elements are float, so the float J and its float inverse are
+    computed once here; an exact tangent stack is conjugated exactly.
+    """
     matrix: np.ndarray
+    float_matrix: np.ndarray = field(init=False, repr=False, compare=False)
     inverse: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "inverse", np.linalg.inv(self.matrix))
+        shape = np.shape(self.matrix)
+        if len(shape) != 2 or shape[0] != shape[1]:
+            raise PairInputError("sigma matrix is not square")
+        j = nx.to_float(self.matrix)
+        if not np.isfinite(j).all():
+            raise PairInputError("sigma matrix has a non-finite entry")
+        try:
+            inverse = np.linalg.inv(j)
+        except np.linalg.LinAlgError as e:
+            raise PairInputError("sigma matrix is singular") from e
+        object.__setattr__(self, "float_matrix", j)
+        object.__setattr__(self, "inverse", inverse)
 
     def apply(self, g: np.ndarray) -> np.ndarray:
-        return self.matrix @ g @ self.inverse
+        return self.float_matrix @ g @ self.inverse
 
     def apply_tangent(self, x: np.ndarray) -> np.ndarray:
-        return self.matrix @ x @ self.inverse
+        """J x J^(-1) for one matrix or a stack; exact when x is."""
+        if nx.mode_of(x) == FLOAT:
+            return self.apply(x)
+        j = self.matrix
+        right = nx.contract(x, nx.inverse(j), axes=([-1], [0]))
+        return nx.contract(right, j, axes=([-2], [1])).swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)
@@ -56,36 +80,59 @@ class SigmaTransposeInverse:
         return np.swapaxes(np.linalg.inv(g), -1, -2)
 
     def apply_tangent(self, x: np.ndarray) -> np.ndarray:
-        return -x.T
+        return -np.swapaxes(x, -1, -2)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class MatrixSymmetricPair:
-    """Matrix group with involution, plus optional exact-arithmetic shadow.
+    """Matrix group with involution.
 
-    lie_basis spans the Lie algebra in gl(ambient_n), float entries.  When the
-    basis happens to have rational entries, exact_basis carries it with
-    Fraction arithmetic so that derived structure constants are exact.
+    basis spans the Lie algebra in gl(ambient_n), as a (dim, n, n) stack in
+    the pair's mode; a conjugation sigma holds J in the same mode.
+    float_basis is the float copy that tangent vectors, exponentials and the
+    kernel scan use, derived here from basis.  Derived algebras and triple
+    systems are cached on the pair itself, per mode, so a pair made by
+    dataclasses.replace derives from its own fields.
     """
     ambient_n: int
-    lie_basis: list
+    basis: np.ndarray
     sigma: object
     fixed_group_policy: str = FULL_FIXED_GROUP
     name: str = ""
-    exact_basis: Optional[list] = None
-    exact_sigma_matrix: Optional[np.ndarray] = None
-    _cache: dict = field(default_factory=dict, repr=False)
+    float_basis: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        for b in self.lie_basis:
-            if b.shape != (self.ambient_n, self.ambient_n):
-                raise PairInputError("basis matrix shape does not match ambient size")
+        n = self.ambient_n
+        mats = [np.asarray(b) for b in self.basis]
+        if not mats:
+            raise PairInputError("basis is empty")
+        if any(m.shape != (n, n) for m in mats):
+            raise PairInputError("basis matrix shape does not match ambient size")
+        mode = nx.mode_of(mats[0])
+        stack = np.array(mats, dtype=object if mode == RATIONAL else float)
+        floats = nx.to_float(stack)
+        if not np.isfinite(floats).all():
+            raise PairInputError("basis has a non-finite entry")
+        if isinstance(self.sigma, SigmaConjugation):
+            if self.sigma.matrix.shape != (n, n):
+                raise PairInputError("sigma matrix shape does not match ambient size")
+            if nx.mode_of(self.sigma.matrix) != mode:
+                raise PairInputError("sigma matrix mode does not match the basis")
         if self.fixed_group_policy not in (FULL_FIXED_GROUP, IDENTITY_COMPONENT_HEURISTIC):
             raise PairInputError(f"unknown policy {self.fixed_group_policy!r}")
+        object.__setattr__(self, "basis", stack)
+        object.__setattr__(self, "float_basis", floats)
+        # (kind, mode) -> derived object; an attribute, not a field, so
+        # dataclasses.replace starts a new pair with an empty one
+        object.__setattr__(self, "_derived", {})
 
     @property
     def dim(self) -> int:
-        return len(self.lie_basis)
+        return len(self.basis)
+
+    @property
+    def mode(self) -> str:
+        return nx.mode_of(self.basis)
 
 
 def theta_tangent(pair: MatrixSymmetricPair, x: np.ndarray) -> np.ndarray:
@@ -93,52 +140,34 @@ def theta_tangent(pair: MatrixSymmetricPair, x: np.ndarray) -> np.ndarray:
     return pair.sigma.apply_tangent(x)
 
 
-def derived_symmetric_algebra(pair: MatrixSymmetricPair) -> sl.SymmetricLieAlgebra:
+def derived_symmetric_algebra(pair: MatrixSymmetricPair,
+                              mode: str | None = None) -> sl.SymmetricLieAlgebra:
     """Structure constants and theta in basis coordinates.
 
-    Uses the exact shadow basis when available, so the constants carry no
-    rounding; otherwise solves least squares in float.
+    mode defaults to the pair's own: a rational pair gives constants that
+    carry no rounding.  FLOAT solves least squares on the float basis, which
+    is all that direction validation and scans need, and is much faster on
+    larger pairs.
     """
-    if "sla" in pair._cache:
-        return pair._cache["sla"]
-    if pair.exact_basis is not None:
-        sla = _derive_sla(pair, pair.exact_basis, RATIONAL)
-    else:
-        sla = _derive_sla(pair, pair.lie_basis, FLOAT)
-    pair._cache["sla"] = sla
-    return sla
+    mode = mode or pair.mode
+    key = ("sla", mode)
+    if key not in pair._derived:
+        pair._derived[key] = _derive_sla(pair, mode)
+    return pair._derived[key]
 
 
-def derived_symmetric_algebra_float(pair: MatrixSymmetricPair) -> sl.SymmetricLieAlgebra:
-    """Float-route structure constants, regardless of any exact shadow.
-
-    Direction validation and scanning only need tolerance-level answers, and
-    the float route is orders of magnitude faster on larger pairs.
-    """
-    if "sla_float" not in pair._cache:
-        pair._cache["sla_float"] = _derive_sla(pair, pair.lie_basis, FLOAT)
-    return pair._cache["sla_float"]
-
-
-def _derive_sla(pair: MatrixSymmetricPair, mats, mode: str) -> sl.SymmetricLieAlgebra:
-    d = len(mats)
-    n = pair.ambient_n
-    stack = np.array(mats, dtype=mats[0].dtype)
-    comms = nx.commutators(stack, stack).reshape(d * d, n * n)
-    if mode == RATIONAL and pair.exact_sigma_matrix is not None:
-        jm = pair.exact_sigma_matrix
-        # J A_i J^-1 for every basis matrix, with J inverted once
-        images = nx.contract(nx.contract(stack, nx.inverse(jm), axes=([2], [0])),
-                             jm, axes=([1], [1])).transpose(0, 2, 1)
-    elif mode == RATIONAL:
-        # transpose-inverse sigma keeps rationality
-        images = -stack.transpose(0, 2, 1)
-    else:
-        images = np.array([theta_tangent(pair, m) for m in mats])
-    coords, inside = nx.coordinates_in_span_many(
-        stack.reshape(d, n * n), np.concatenate([comms, images.reshape(d, n * n)]))
+def _derive_sla(pair: MatrixSymmetricPair, mode: str) -> sl.SymmetricLieAlgebra:
+    """The one derivation of structure constants and theta from a matrix basis."""
+    if mode == RATIONAL and pair.mode == FLOAT:
+        raise nx.ModeError("a float pair has no exact structure constants")
+    stack = pair.basis if mode == RATIONAL else pair.float_basis
+    d, nn = pair.dim, pair.ambient_n ** 2
+    comms = nx.commutators(stack, stack).reshape(d * d, nn)
+    images = theta_tangent(pair, stack).reshape(d, nn)
+    coords, inside = nx.coordinates_in_span_many(stack.reshape(d, nn),
+                                                 np.concatenate([comms, images]))
     if not inside[:d * d].all():
-        raise PairInputError("lie_basis is not closed under commutators")
+        raise PairInputError("basis is not closed under commutators")
     if not inside[d * d:].all():
         raise PairInputError("theta does not preserve the Lie algebra span")
     # column i of theta holds the coordinates of the image of basis vector i
@@ -146,30 +175,27 @@ def _derive_sla(pair: MatrixSymmetricPair, mats, mode: str) -> sl.SymmetricLieAl
                                   coords[d * d:].T)
 
 
-def minus_triple(pair: MatrixSymmetricPair) -> tuple[lt.LieTripleSystem, lt.Subspace]:
-    """Odd-part triple system of the derived symmetric algebra."""
-    if "minus" not in pair._cache:
-        pair._cache["minus"] = sl.minus_triple(derived_symmetric_algebra(pair))
-    return pair._cache["minus"]
-
-
-def minus_triple_float(pair: MatrixSymmetricPair) -> tuple[lt.LieTripleSystem, lt.Subspace]:
-    """Float-route odd-part triple, for scans and direction validation."""
-    if "minus_float" not in pair._cache:
-        pair._cache["minus_float"] = sl.minus_triple(derived_symmetric_algebra_float(pair))
-    return pair._cache["minus_float"]
+def minus_triple(pair: MatrixSymmetricPair,
+                 mode: str | None = None) -> tuple[lt.LieTripleSystem, lt.Subspace]:
+    """Odd-part triple system of the derived symmetric algebra, in mode
+    (the pair's own by default)."""
+    mode = mode or pair.mode
+    key = ("minus", mode)
+    if key not in pair._derived:
+        pair._derived[key] = sl.minus_triple(derived_symmetric_algebra(pair, mode))
+    return pair._derived[key]
 
 
 def tangent_from_coords(pair: MatrixSymmetricPair, coords: np.ndarray) -> np.ndarray:
     out = np.zeros((pair.ambient_n, pair.ambient_n))
-    for c, b in zip(coords, pair.lie_basis):
+    for c, b in zip(coords, pair.float_basis):
         out = out + float(c) * b
     return out
 
 
 def tangent_to_coords(pair: MatrixSymmetricPair, x: np.ndarray,
                       tol: TolerancePolicy = DEFAULT_TOLERANCE) -> np.ndarray:
-    flat = [b.reshape(-1) for b in pair.lie_basis]
+    flat = pair.float_basis.reshape(pair.dim, -1)
     coords = nx.coordinates_in_span(flat, np.asarray(x, dtype=float).reshape(-1), tol)
     if coords is None:
         raise PairInputError("matrix is not in the Lie algebra span")
@@ -315,11 +341,12 @@ def central_odd_check(pair: MatrixSymmetricPair, x: np.ndarray,
                       tol: TolerancePolicy = DEFAULT_TOLERANCE) -> None:
     """Require x to be odd and central in the derived triple system.
 
-    Validation is a tolerance decision, so the float route is used even when
-    an exact shadow exists; exact centers stay available via minus_triple.
+    Validation is a tolerance decision, so the float derivation is used even
+    for a rational pair; its exact center is the center of
+    minus_triple(pair).
     """
     check_odd_tangent(pair, x, tol)
-    system, minus = minus_triple_float(pair)
+    system, minus = minus_triple(pair, FLOAT)
     coords = nx.coordinates_in_span([nx.to_float(v) for v in minus.basis],
                                     tangent_to_coords(pair, x, tol), tol)
     if coords is None:

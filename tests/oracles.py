@@ -408,7 +408,7 @@ def matrix_exp_loops(x):
 def fixed_group_residual_loops(pair, g):
     """Scale-free distance of one group element from the sigma-fixed subgroup."""
     if hasattr(pair.sigma, "inverse"):
-        image = pair.sigma.matrix @ g @ pair.sigma.inverse
+        image = pair.sigma.float_matrix @ g @ pair.sigma.inverse
     else:
         image = np.linalg.inv(g).T
     num = float(np.linalg.norm(image - g))
@@ -540,7 +540,6 @@ def contains_loops(sub, v, tol=None):
 
 
 def is_subsystem_loops(m, sub, tol=None):
-    from triplekit.lts import bracket_eval
     for x in sub.basis:
         for y in sub.basis:
             for z in sub.basis:
@@ -573,7 +572,7 @@ def is_ideal_loops(m, sub, tol=None):
 
 def plus_closure_loops(g, plus, tol=None):
     """Raise unless the bracket of every pair of plus basis vectors stays in plus."""
-    from triplekit.symlie import InvolutionDefectError, lie_bracket_eval
+    from triplekit.symlie import InvolutionDefectError
     for u in plus.basis:
         for v in plus.basis:
             if not contains_loops(plus, lie_bracket_eval(g, u, v), tol):
@@ -669,3 +668,108 @@ def verify_axioms_d6(m, tol=None):
     ok = worst <= threshold
     return AxiomReport(ok, float(worst), None if ok else worst_name,
                        None if ok else worst_witness)
+
+
+# ------------------------------------------- bracket evaluation on coordinates
+# One bracket of coordinate vectors at a time; the package never needs one.
+
+def bracket_eval(m, x, y, z):
+    from triplekit import numerics as nx
+    t = nx.contract(x, m.tensor, axes=(0, 0))
+    t = nx.contract(y, t, axes=(0, 0))
+    return nx.contract(z, t, axes=(0, 0))
+
+
+def lie_bracket_eval(g, x, y):
+    from triplekit import numerics as nx
+    t = nx.contract(x, g.tensor, axes=(0, 0))
+    return nx.contract(y, t, axes=(0, 0))
+
+
+# ------------------------------------------- structure constants from matrices
+# The four derivations that sympair.derived_symmetric_algebra replaced, as
+# they ran before it: fixtures.lie_from_matrices, fixtures.lts_from_matrices,
+# fixtures._conjugation_theta (for an involutive j) and the float route of
+# sympair._derive_sla.  Kept verbatim (names aside) so that the one
+# derivation can be held to the same Fractions and floats.  The float route
+# takes its matrices as an argument, as it did, and forms each sigma image
+# the way the sigma classes then did: j @ m @ j^(-1) with the float j and its
+# float inverse, or -m.T.
+
+def lie_from_matrices_old(mats, labels=None):
+    """Structure constants of a matrix Lie algebra given by a closed basis."""
+    from triplekit import lts as lt
+    from triplekit import numerics as nx
+    from triplekit import symlie as sl
+    mode = nx.mode_of(mats[0])
+    d = len(mats)
+    stack = np.array(mats, dtype=mats[0].dtype)
+    comms = nx.commutators(stack, stack).reshape(d * d, -1)
+    coords, inside = nx.coordinates_in_span_many(stack.reshape(d, -1), comms)
+    if not inside.all():
+        raise lt.LtsStructureError("matrix basis is not closed under commutators")
+    return sl.LieAlgebra(d, coords.reshape(d, d, d), mode, tuple(labels) if labels else None)
+
+
+def lts_from_matrices_old(mats, labels=None):
+    """Structure tensor of the double commutator bracket on a closed span."""
+    from triplekit import lts as lt
+    from triplekit import numerics as nx
+    mode = nx.mode_of(mats[0])
+    d = len(mats)
+    n = mats[0].shape[0]
+    stack = np.array(mats, dtype=mats[0].dtype)
+    comms = nx.commutators(stack, stack).reshape(d * d, n, n)
+    doubles = nx.commutators(comms, stack).reshape(d * d * d, -1)
+    coords, inside = nx.coordinates_in_span_many(stack.reshape(d, -1), doubles)
+    if not inside.all():
+        raise lt.LtsStructureError("span is not closed under double commutators")
+    return lt.LieTripleSystem(d, coords.reshape(d, d, d, d), mode,
+                              tuple(labels) if labels else None)
+
+
+def conjugation_theta_old(mats, j):
+    """theta in basis coordinates for conjugation by an involutive j (j = j^-1).
+
+    Column i holds the coordinates of j A_i j.
+    """
+    from triplekit import lts as lt
+    from triplekit import numerics as nx
+    d = len(mats)
+    stack = np.array(mats, dtype=object)
+    images = nx.contract(nx.contract(stack, j, axes=([2], [0])), j, axes=([1], [1]))
+    images = images.transpose(0, 2, 1).reshape(d, -1)
+    coords, inside = nx.coordinates_in_span_many(stack.reshape(d, -1), images)
+    if not inside.all():
+        raise lt.LtsStructureError("conjugation does not preserve the matrix span")
+    return coords.T
+
+
+def _theta_tangent_old(pair, m):
+    sigma = pair.sigma
+    if hasattr(sigma, "inverse"):
+        return sigma.float_matrix @ m @ sigma.inverse
+    return -m.T
+
+
+def derive_sla_float_old(pair, mats):
+    """sympair._derive_sla(pair, mats, FLOAT)."""
+    from triplekit import numerics as nx
+    from triplekit import symlie as sl
+    from triplekit.numerics import FLOAT
+    from triplekit.sympair import PairInputError
+    mode = FLOAT
+    d = len(mats)
+    n = pair.ambient_n
+    stack = np.array(mats, dtype=mats[0].dtype)
+    comms = nx.commutators(stack, stack).reshape(d * d, n * n)
+    images = np.array([_theta_tangent_old(pair, m) for m in mats])
+    coords, inside = nx.coordinates_in_span_many(
+        stack.reshape(d, n * n), np.concatenate([comms, images.reshape(d, n * n)]))
+    if not inside[:d * d].all():
+        raise PairInputError("lie_basis is not closed under commutators")
+    if not inside[d * d:].all():
+        raise PairInputError("theta does not preserve the Lie algebra span")
+    # column i of theta holds the coordinates of the image of basis vector i
+    return sl.SymmetricLieAlgebra(sl.LieAlgebra(d, coords[:d * d].reshape(d, d, d), mode),
+                                  coords[d * d:].T)

@@ -12,6 +12,7 @@ from triplekit import cli
 from triplekit import fixtures as fx
 from triplekit import jsonio
 from triplekit import lts as lt
+from triplekit import numerics as nx
 from triplekit import symlie as sl
 from triplekit import sympair as sp
 from triplekit.cli import main
@@ -54,7 +55,7 @@ def test_pair_round_trip_keeps_exact_shadow(tmp_path):
     p = tmp_path / "pair.json"
     jsonio.save(p, pair)
     back = jsonio.load(p)
-    assert back.exact_basis is not None
+    assert back.mode == "rational"
     assert back.ambient_n == pair.ambient_n
     assert back.fixed_group_policy == pair.fixed_group_policy
     sla = sp.derived_symmetric_algebra(back)
@@ -154,6 +155,97 @@ def test_broken_float_lts_is_input_error(tmp_path, capsys, entries, message):
 def test_broken_lie_entries_are_format_errors(tmp_path, entries):
     with pytest.raises(jsonio.FormatError, match="bad lie bracket entry"):
         jsonio.load(_float_bracket_doc(tmp_path, entries, kind="lie"))
+
+
+@pytest.mark.parametrize("kind,entries", [
+    ("lts", [[True, 0, 1, 1, 1.0], [1, 0, 1, 1, -1.0]]),
+    ("lie", [[True, 0, 1, 1.0], [1, 0, 1, -1.0]]),
+])
+def test_boolean_bracket_index_is_format_error(tmp_path, capsys, kind, entries):
+    # a bool is an int to the range check, and a mask to numpy
+    path = _float_bracket_doc(tmp_path, entries, kind=kind)
+    with pytest.raises(jsonio.FormatError, match="is not an integer"):
+        jsonio.load(path)
+    for command in ("check", "center"):
+        assert main([command, path]) == 2
+    assert "is not an integer" in capsys.readouterr().err
+
+
+def _write_json(tmp_path, doc, name="doc.json"):
+    """A document written as raw JSON text, NaN included."""
+    p = tmp_path / name
+    p.write_text(json.dumps(doc))
+    return str(p)
+
+
+def test_non_finite_lie_document_is_input_error(tmp_path, capsys):
+    path = _float_bracket_doc(tmp_path, [[0, 1, 2, float("nan")], [1, 0, 2, -1.0]],
+                              dim=3, kind="lie")
+    for command in ("check", "center"):
+        assert main([command, path, "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "non-finite" in captured.err
+
+
+def test_non_finite_theta_is_input_error(tmp_path, capsys):
+    sla = fx.so_symmetric_algebra(2)
+    doc = jsonio.symmetric_to_dict(
+        sl.SymmetricLieAlgebra(sla.algebra.to_float(), sla.theta.astype(float)))
+    doc["theta"][0][0] = float("nan")
+    path = _write_json(tmp_path, doc)
+    for command in ("check", "center"):
+        assert main([command, path, "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "theta has a non-finite entry" in captured.err
+
+
+def _so3_float_pair_doc():
+    return {"kind": "pair", "ambient_n": 3, "mode": "float",
+            "basis": [nx.to_float(b).tolist() for b in fx.so_basis(3)],
+            "sigma": {"conjugation_by": np.diag([1.0, 1.0, -1.0]).tolist()},
+            "policy": "full_fixed_group", "name": "SO(3)/SO(2)"}
+
+
+def _bad_pair(case: str) -> dict:
+    doc = _so3_float_pair_doc()
+    if case == "shape":
+        doc["ambient_n"] = 4
+    elif case == "policy":
+        doc["policy"] = "bogus"
+    elif case == "empty":
+        doc["basis"] = []
+    elif case == "sigma_size":
+        doc["sigma"] = {"conjugation_by": np.eye(2).tolist()}
+    else:
+        doc["basis"][0][0][1] = float("nan")
+    return doc
+
+
+@pytest.mark.parametrize("command", ["check", "center"])
+@pytest.mark.parametrize("case,message", [
+    ("shape", "basis matrix shape does not match ambient size"),
+    ("policy", "unknown policy 'bogus'"),
+    ("empty", "basis is empty"),
+    ("sigma_size", "sigma matrix shape does not match ambient size"),
+    ("nan", "basis has a non-finite entry"),
+])
+def test_pair_input_errors_exit_2(tmp_path, capsys, command, case, message):
+    assert main([command, _write_json(tmp_path, _so3_float_pair_doc(), "good.json")]) == 0
+    capsys.readouterr()
+    assert main([command, _write_json(tmp_path, _bad_pair(case)), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_gallery_write_reproduces_shipped_fixtures(gallery_dir):
+    shipped = Path(__file__).resolve().parents[1] / "fixtures"
+    names = sorted(p.name for p in shipped.glob("*.json"))
+    assert names == sorted(p.name for p in gallery_dir.glob("*.json"))
+    for name in names:
+        assert (gallery_dir / name).read_bytes() == (shipped / name).read_bytes(), name
 
 
 def test_noncentral_period_direction_is_input_error(gallery_dir, capsys):

@@ -57,7 +57,7 @@ def test_default_direction_unit_frobenius_period():
 
 def test_kernel_requires_central_direction():
     pair = fx.u_modulo_o_pair(2)
-    bad = pair.lie_basis[0]  # i E_11 direction: odd but not central
+    bad = pair.float_basis[0]  # i E_11 direction: odd but not central
     with pytest.raises(pd.CenterMismatchError):
         pd.kernel_lattice_1d(pair, bad)
 
@@ -112,8 +112,8 @@ def _rotated_pair(rng, n, double):
     q, r = np.linalg.qr(rng.standard_normal((base.ambient_n, base.ambient_n)))
     q = q * np.sign(np.diag(r))
     pair = sp.MatrixSymmetricPair(
-        ambient_n=base.ambient_n, lie_basis=[q @ b @ q.T for b in base.lie_basis],
-        sigma=sp.SigmaConjugation(q @ base.sigma.matrix @ q.T), name=f"rotated {base.name}")
+        ambient_n=base.ambient_n, basis=[q @ b @ q.T for b in base.float_basis],
+        sigma=sp.SigmaConjugation(q @ base.sigma.float_matrix @ q.T), name=f"rotated {base.name}")
     return pair, float(rng.uniform(0.9, 1.6)) * (q @ z @ q.T)
 
 
@@ -134,7 +134,7 @@ def _transpose_inverse_pair(n):
             e = np.zeros((n, n))
             e[i, j] = 1.0
             basis.append(e)
-    return sp.MatrixSymmetricPair(ambient_n=n, lie_basis=basis,
+    return sp.MatrixSymmetricPair(ambient_n=n, basis=basis,
                                   sigma=sp.SigmaTransposeInverse(), name=f"GL({n})/O({n})")
 
 

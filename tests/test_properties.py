@@ -1,7 +1,8 @@
 """Property tests for the exact contraction kernel, the batched span kernel,
-the float subgroup search, the stacked matrix exponential and the axiom check
-(need hypothesis)."""
+the float subgroup search, the stacked matrix exponential, the axiom check and
+the JSON round trip (need hypothesis)."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -11,9 +12,13 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
+from triplekit import fixtures as fx  # noqa: E402
+from triplekit import jsonio  # noqa: E402
 from triplekit import lts as lt  # noqa: E402
 from triplekit import numerics as nx  # noqa: E402
 from triplekit import periods as pd  # noqa: E402
+from triplekit import symlie as sl  # noqa: E402
+from triplekit import sympair as sp  # noqa: E402
 
 from oracles import (coordinates_in_span_loops, float_subgroup_loops,  # noqa: E402
                      matrix_exp_loops, search_outcome, tensordot_loops, verify_axioms_d6)
@@ -146,3 +151,55 @@ def test_axiom_check_matches_d6_oracle(m):
     got, want = lt.verify_axioms(m), verify_axioms_d6(m)
     assert (got.ok, got.worst_violation, got.identity, got.witness) \
         == (want.ok, want.worst_violation, want.identity, want.witness)
+
+
+@st.composite
+def documents(draw):
+    """Canonical JSON of a random lts, lie, symmetric or pair object in either
+    mode; mostly-zero entries, and labels or names sometimes."""
+    exact = draw(st.booleans())
+    mode = nx.RATIONAL if exact else nx.FLOAT
+    value = (st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12)) if exact
+             else st.floats(-1e6, 1e6, allow_nan=False))
+    entry = st.one_of(st.just(0), value, st.just(0))
+
+    def array(shape):
+        size = math.prod(shape)
+        data = draw(st.lists(entry, min_size=size, max_size=size))
+        if exact:
+            return nx.rational_array([Fraction(x) for x in data]).reshape(shape)
+        return np.array(data, dtype=float).reshape(shape)
+
+    def labels(d):
+        return draw(st.none() | st.tuples(*[st.text(max_size=3)] * d))
+
+    kind = draw(st.sampled_from(["lts", "lie", "symmetric_lie", "pair"]))
+    d = draw(st.integers(1, 3))
+    if kind == "lts":
+        obj = lt.LieTripleSystem(d, array((d,) * 4), mode, labels(d))
+    elif kind == "lie":
+        obj = sl.LieAlgebra(d, array((d,) * 3), mode, labels(d))
+    elif kind == "symmetric_lie":
+        # the swap of two copies is an involutive automorphism of any bracket
+        obj = fx.flip_symmetric_algebra(sl.LieAlgebra(d, array((d,) * 3), mode))
+    else:
+        n = draw(st.integers(1, 3))
+        if draw(st.booleans()):
+            sigma = sp.SigmaTransposeInverse()
+        else:
+            signs = draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
+            j = np.diag(signs)[draw(st.permutations(range(n)))]
+            sigma = sp.SigmaConjugation(nx.rational_array(j.tolist()) if exact
+                                        else j.astype(float))
+        obj = sp.MatrixSymmetricPair(
+            n, list(array((d, n, n))), sigma,
+            fixed_group_policy=draw(st.sampled_from([sp.FULL_FIXED_GROUP,
+                                                     sp.IDENTITY_COMPONENT_HEURISTIC])),
+            name=draw(st.text(max_size=6)))
+    return jsonio.dumps(obj)
+
+
+@hypothesis.settings(max_examples=120, deadline=None)
+@hypothesis.given(documents())
+def test_json_round_trip_is_byte_identical(s):
+    assert jsonio.dumps(jsonio.from_dict(json.loads(s))) == s

@@ -10,6 +10,7 @@ from triplekit import fixtures as fx
 from triplekit import lts as lt
 from triplekit import numerics as nx
 from triplekit import symlie as sl
+from triplekit import sympair as sp
 from triplekit.numerics import FLOAT, RATIONAL, TolerancePolicy
 
 from oracles import (coordinates_in_span_loops, embedding_tensor_loops, is_ideal_loops,
@@ -295,11 +296,16 @@ def _e(i, j):
     return fx._e(2, i, j)
 
 
+def _conjugation_pair(mats, j):
+    return sp.MatrixSymmetricPair(2, mats, sp.SigmaConjugation(j))
+
+
 def test_non_closed_matrix_bases_raise():
-    with pytest.raises(lt.LtsStructureError, match="not closed under commutators"):
-        fx.lie_from_matrices([_e(0, 1), _e(1, 0)])
-    with pytest.raises(lt.LtsStructureError, match="not closed under double commutators"):
-        fx.lts_from_matrices([_e(0, 0), _e(0, 1) + _e(1, 0)])
+    one = nx.identity(2, RATIONAL)
+    with pytest.raises(sp.PairInputError, match="not closed under commutators"):
+        sp.derived_symmetric_algebra(_conjugation_pair([_e(0, 1), _e(1, 0)], one))
+    with pytest.raises(sp.PairInputError, match="not closed under commutators"):
+        sp.minus_triple(_conjugation_pair([_e(0, 0), _e(0, 1) + _e(1, 0)], one))
     swap = nx.rational_array([[0, 1], [1, 0]])
-    with pytest.raises(lt.LtsStructureError, match="does not preserve the matrix span"):
-        fx._conjugation_theta([_e(0, 1)], swap)
+    with pytest.raises(sp.PairInputError, match="theta does not preserve the Lie algebra span"):
+        sp.derived_symmetric_algebra(_conjugation_pair([_e(0, 1)], swap))

