@@ -43,6 +43,21 @@ def _dec_matrix(rows, mode):
     return np.array(rows, dtype=float)
 
 
+def _field(doc, key: str):
+    """doc[key]; a missing key, or a document that is no object, is a FormatError."""
+    if not isinstance(doc, dict):
+        raise FormatError(f"expected an object holding {key!r}, got {type(doc).__name__}")
+    if key not in doc:
+        raise FormatError(f"document has no {key!r} key")
+    return doc[key]
+
+
+def _mode(value) -> str:
+    if value not in (RATIONAL, FLOAT):
+        raise FormatError(f"unknown mode {value!r}; expected {RATIONAL!r} or {FLOAT!r}")
+    return value
+
+
 def _labels_out(labels):
     return list(labels) if labels is not None else None
 
@@ -99,13 +114,14 @@ def pair_to_dict(pair: sp.MatrixSymmetricPair) -> dict:
 # --------------------------------------------------------------- from dicts
 
 def lts_from_dict(doc: dict) -> lt.LieTripleSystem:
-    d = int(doc["dim"])
-    mode = doc["mode"]
+    d = int(_field(doc, "dim"))
+    mode = _mode(_field(doc, "mode"))
+    entries = _field(doc, "bracket")
     dec = _decoder(mode)
     tensor = nx.zeros((d, d, d, d), mode)
     # one entry at a time: building index arrays first measured slower
     try:
-        for i, j, k, l, v in doc["bracket"]:
+        for i, j, k, l, v in entries:
             if not (0 <= i < d and 0 <= j < d and 0 <= k < d and 0 <= l < d):
                 raise IndexError(f"index {[i, j, k, l]} is outside [0, {d})")
             # a bool passes the range check, but numpy would read it as a mask
@@ -118,12 +134,13 @@ def lts_from_dict(doc: dict) -> lt.LieTripleSystem:
 
 
 def lie_from_dict(doc: dict) -> sl.LieAlgebra:
-    d = int(doc["dim"])
-    mode = doc["mode"]
+    d = int(_field(doc, "dim"))
+    mode = _mode(_field(doc, "mode"))
+    entries = _field(doc, "bracket")
     dec = _decoder(mode)
     tensor = nx.zeros((d, d, d), mode)
     try:
-        for i, j, k, v in doc["bracket"]:
+        for i, j, k, v in entries:
             if not (0 <= i < d and 0 <= j < d and 0 <= k < d):
                 raise IndexError(f"index {[i, j, k]} is outside [0, {d})")
             if type(i) is bool or type(j) is bool or type(k) is bool:
@@ -136,22 +153,24 @@ def lie_from_dict(doc: dict) -> sl.LieAlgebra:
 
 def symmetric_from_dict(doc: dict, tol: TolerancePolicy = DEFAULT_TOLERANCE
                         ) -> sl.SymmetricLieAlgebra:
-    algebra = lie_from_dict(doc["algebra"])
-    theta = _dec_matrix(doc["theta"], algebra.mode)
+    algebra = lie_from_dict(_field(doc, "algebra"))
+    theta = _dec_matrix(_field(doc, "theta"), algebra.mode)
     return sl.SymmetricLieAlgebra(algebra, theta, tol)
 
 
 def pair_from_dict(doc: dict) -> sp.MatrixSymmetricPair:
-    mode = doc.get("mode", FLOAT)
-    sigma_doc = doc["sigma"]
+    mode = _mode(doc.get("mode", FLOAT))
+    sigma_doc = _field(doc, "sigma")
     if sigma_doc == "transpose_inverse":
         sigma = sp.SigmaTransposeInverse()
     elif isinstance(sigma_doc, dict) and "conjugation_by" in sigma_doc:
         sigma = sp.SigmaConjugation(_dec_matrix(sigma_doc["conjugation_by"], mode))
     else:
         raise FormatError("unknown sigma description")
+    n = int(_field(doc, "ambient_n"))
+    basis = [_dec_matrix(m, mode) for m in _field(doc, "basis")]
     return sp.MatrixSymmetricPair(
-        int(doc["ambient_n"]), [_dec_matrix(m, mode) for m in doc["basis"]], sigma,
+        n, basis, sigma,
         fixed_group_policy=doc.get("policy", sp.FULL_FIXED_GROUP),
         name=doc.get("name", ""))
 

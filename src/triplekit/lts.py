@@ -83,7 +83,8 @@ class Subspace:
         return self.contains_all([v], tol)
 
     def contains_all(self, vectors, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> bool:
-        """Whether every vector (rows of an array, or a list) lies in the span."""
+        """Whether every vector lies in the span: rows of an array, a list, or
+        a pair (numerators, scale) as nx.coordinates_in_span_many takes it."""
         return bool(nx.coordinates_in_span_many(self.basis, vectors, tol)[1].all())
 
     def equals(self, other: "Subspace", tol: TolerancePolicy = DEFAULT_TOLERANCE) -> bool:
@@ -210,22 +211,28 @@ def center(m: LieTripleSystem, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> Subs
 
 
 def is_subsystem(m: LieTripleSystem, sub: Subspace, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> bool:
-    t = nx.contract(sub.basis, m.tensor, axes=([1], [0]))      # [a,j,k,l]
-    t = nx.contract(sub.basis, t, axes=([1], [1]))             # [b,a,k,l]
-    t = nx.contract(sub.basis, t, axes=([1], [2]))             # [c,b,a,l]
-    return sub.contains_all(t.reshape(sub.dim ** 3, m.dim), tol)
+    b, sb = nx.numerators(sub.basis)
+    c, sc = nx.numerators(m.tensor)
+    t = nx.contract_numerators(b, c, axes=([1], [0]))          # [a,j,k,l]
+    t = nx.contract_numerators(b, t, axes=([1], [1]))          # [b,a,k,l]
+    t = nx.contract_numerators(b, t, axes=([1], [2]))          # [c,b,a,l]
+    return sub.contains_all((t.reshape(sub.dim ** 3, m.dim), sb ** 3 * sc), tol)
 
 
 def is_ideal(m: LieTripleSystem, sub: Subspace, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> bool:
     """Test bracket(n, m, m) inside n; on success assert the two companion
-    containments, which are automatic for a genuine LTS."""
+    containments, which are automatic for a genuine LTS.  The brackets go to
+    the span test as numerators over one scale."""
     rows = (sub.dim * m.dim * m.dim, m.dim)
-    first = nx.contract(sub.basis, m.tensor, axes=([1], [0]))  # bracket(x, ., .)
-    if not sub.contains_all(first.reshape(rows), tol):
+    b, sb = nx.numerators(sub.basis)
+    c, sc = nx.numerators(m.tensor)
+    first = nx.contract_numerators(b, c, axes=([1], [0]))      # bracket(x, ., .)
+    if not sub.contains_all((first.reshape(rows), sb * sc), tol):
         return False
-    mid = nx.contract(sub.basis, m.tensor, axes=([1], [1]))    # bracket(., x, .)
-    last = nx.contract(sub.basis, m.tensor, axes=([1], [2]))   # bracket(., ., x)
-    if not sub.contains_all(np.concatenate([mid.reshape(rows), last.reshape(rows)]), tol):
+    mid = nx.contract_numerators(b, c, axes=([1], [1]))        # bracket(., x, .)
+    last = nx.contract_numerators(b, c, axes=([1], [2]))       # bracket(., ., x)
+    if not sub.contains_all((np.concatenate([mid.reshape(rows), last.reshape(rows)]), sb * sc),
+                            tol):
         raise LtsStructureError("ideal closure is one-sided; tensor is not a Lie triple system")
     return True
 
@@ -314,18 +321,21 @@ def certify_morphism(f: LtsMorphism, tol: TolerancePolicy = DEFAULT_TOLERANCE) -
     """Return a copy with certified set iff f respects brackets on all basis triples.
 
     Compares F.C_src with C_tgt o (F, F, F) over every basis triple at once,
-    in four contractions.  The threshold is zero when source and target are
-    exact and eq_tol otherwise.  When the matrix is exact too the sides are
-    compared exactly; otherwise all three are taken to float.
+    in four contractions on numerators.  The threshold is zero when source
+    and target are exact and eq_tol otherwise.  When the matrix is exact too
+    the difference of the sides is tested for zero on its numerators;
+    otherwise all three are taken to float.
     """
     thr = 0.0 if f.source.mode == RATIONAL and f.target.mode == RATIONAL else tol.eq_tol
     fm, src, tgt = f.matrix, f.source.tensor, f.target.tensor
-    exact = all(nx.mode_of(a) == RATIONAL for a in (fm, src, tgt))
-    if not exact:
+    if not all(nx.mode_of(a) == RATIONAL for a in (fm, src, tgt)):
         fm, src, tgt = nx.to_float(fm), nx.to_float(src), nx.to_float(tgt)
-    lhs = nx.contract(src, fm, axes=([3], [1]))                    # [i,j,k,p]
-    rhs = nx.contract(fm, tgt, axes=([0], [0]))                    # [i,b,c,p]
-    rhs = nx.contract(rhs, fm, axes=([1], [0]))                    # [i,c,p,j]
-    rhs = nx.contract(rhs, fm, axes=([1], [0])).transpose(0, 2, 3, 1)
-    ok = not (lhs != rhs).any() if exact else nx.max_abs(lhs - rhs) <= thr
+    fm, sf = nx.numerators(fm)
+    src, ss = nx.numerators(src)
+    tgt, st = nx.numerators(tgt)
+    lhs = nx.contract_numerators(src, fm, axes=([3], [1]))         # [i,j,k,p]
+    rhs = nx.contract_numerators(fm, tgt, axes=([0], [0]))         # [i,b,c,p]
+    rhs = nx.contract_numerators(rhs, fm, axes=([1], [0]))         # [i,c,p,j]
+    rhs = nx.contract_numerators(rhs, fm, axes=([1], [0])).transpose(0, 2, 3, 1)
+    ok = nx.defect_size(*nx.difference(lhs, ss * sf, rhs, st * sf ** 3)) <= thr
     return replace(f, certified=bool(ok))

@@ -5,21 +5,31 @@ Every array in this package is either *rational* (numpy object arrays holding
 (float64, decisions made against a ``TolerancePolicy``).  The mode of an array
 is carried by its dtype; mixing modes inside one array is not supported.
 
-Exact arrays stay ``Fraction`` at the API, but contractions and zero tests do
-not run on ``Fraction`` objects.  ``numerators`` clears an exact array to
-integer numerators over one common denominator; ``contract_numerators`` runs
-``tensordot`` on those in int64 when an a-priori bound rules out overflow and
-on Python ints (which grow instead of wrapping, and need no gcd) otherwise.
-``contract`` chains the two and rescales the result to ``Fraction`` once.
-Decision kernels test defects for zero on the numerators directly, and
-``defect_size`` turns the largest one into an exact ``Fraction``.  Float
-arrays pass through all of these with denominator 1.
+Exact arrays stay ``Fraction`` at the API, but no exact kernel computes on
+``Fraction`` objects.  ``numerators`` clears an exact array to integer
+numerators over one common denominator, and every kernel works on those:
+
+- ``contract_numerators`` runs ``tensordot`` in int64 when an a-priori bound
+  rules out overflow and on Python ints (which grow instead of wrapping, and
+  need no gcd) otherwise; ``contract`` chains the two and rescales the result
+  to ``Fraction`` once.  Decision kernels test defects for zero on the
+  numerators directly, and ``defect_size`` turns the largest one into an
+  exact ``Fraction``.
+- ``rref`` is fraction-free Gauss-Jordan elimination (Bareiss) on Python-int
+  rows: every step divides exactly by the previous pivot, so the entries stay
+  integer minors of the input.  ``rank``, ``span_basis``, ``nullspace``,
+  ``inverse`` and the exact span kernel read its integers and build a
+  ``Fraction`` only for the entries they return.
+
+Float arrays pass through all of these with denominator 1.
 
 Span membership and coordinates have one kernel, ``coordinates_in_span_many``.
 It answers T targets against k basis rows in one row reduction (exact) or
 one least-squares call (float) and returns arrays, not per-target results:
 ``coords`` of shape (T, k) in the basis' mode and a bool ``inside`` of shape
 (T,); a row of ``coords`` means something only where ``inside`` is True.
+Exact targets may come as ``(numerators, scale)``, as a contraction of
+numerators leaves them, so no ``Fraction`` copy is built in between.
 Structure checks build all their targets with one contraction and make one
 call; ``coordinates_in_span`` is the one-target case.
 """
@@ -259,47 +269,66 @@ def defect_size(n: np.ndarray, s: int = 1):
     return Fraction(_max_abs_int(n), s)
 
 
-def rref(a: np.ndarray, pivot_limit: int | None = None) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form over the rationals.
+def rref(n: np.ndarray, pivot_limit: int | None = None) -> tuple[np.ndarray, int, list[int]]:
+    """Fraction-free reduced row echelon form of an integer matrix.
 
-    Returns the reduced matrix and the list of pivot column indices.
-    Exact mode only.  When pivot_limit is given, pivots are only chosen in
-    the first pivot_limit columns; elimination still clears full rows, which
-    is what augmented multi-column solves need.
+    n holds integers (Python ints or int64), such as the numerators of an
+    exact matrix a = n / s.  Returns (m, top, pivots): m is an object array
+    of Python ints, top the last pivot (1 when there is none) and pivots the
+    pivot column indices.  Pivot rows of m are top times the reduced rows of
+    a; the rows below them are top * s times the residual rows that Gauss-
+    Jordan elimination over the rationals leaves.  When pivot_limit is given,
+    pivots are only chosen in the first pivot_limit columns; elimination
+    still clears full rows, which is what augmented multi-column solves need.
+
+    Each step takes the first nonzero entry p at or below the pivot row and
+    sets row_i = (p * row_i - f * row_r) // prev for every other row i, with
+    f its entry in the pivot column and prev the previous pivot; the
+    division is exact (Bareiss 1968).  A row whose f is zero only gains the
+    factor p / prev, so it is scaled once, when it is next needed: each row
+    keeps the pivot it was last brought up to.
     """
-    if mode_of(a) != RATIONAL:
-        raise ModeError("rref is an exact-mode operation")
-    m = a.copy()
-    rows, cols = m.shape
+    if n.dtype.kind == "f":
+        raise ModeError("rref takes integer numerators")
+    rows, cols = n.shape
+    m = n.tolist()
+    base = [1] * rows          # row i holds its value times base[i] / prev
     pivots: list[int] = []
-    r = 0
+    prev, r = 1, 0
     span = cols if pivot_limit is None else min(pivot_limit, cols)
     for c in range(span):
-        pivot_row = None
-        for i in range(r, rows):
-            if m[i, c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            m[[r, pivot_row]] = m[[pivot_row, r]]
-        m[r] = m[r] / m[r, c]
-        for i in range(rows):
-            if i != r and m[i, c] != 0:
-                m[i] = m[i] - m[i, c] * m[r]
-        pivots.append(c)
-        r += 1
         if r == rows:
             break
-    return m, pivots
+        pivot_row = next((i for i in range(r, rows) if m[i][c]), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        base[r], base[pivot_row] = base[pivot_row], base[r]
+        top = m[r] if base[r] == prev else [x * prev // base[r] for x in m[r]]
+        p = top[c]
+        for i, row in enumerate(m):
+            if i == r or not row[c]:
+                continue
+            if base[i] != prev:
+                row = [x * prev // base[i] for x in row]
+            f = row[c]
+            m[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+            base[i] = p
+        m[r], base[r] = top, p
+        pivots.append(c)
+        prev = p
+        r += 1
+    for i, row in enumerate(m):
+        if base[i] != prev and any(row):
+            m[i] = [x * prev // base[i] for x in row]
+    return np.array(m, dtype=object).reshape(rows, cols), prev, pivots
 
 
 def rank(a: np.ndarray, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> int:
     if a.size == 0:
         return 0
     if mode_of(a) == RATIONAL:
-        return len(rref(a)[1])
+        return len(rref(numerators(a)[0])[2])
     s = np.linalg.svd(a, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
@@ -310,22 +339,22 @@ def nullspace(a: np.ndarray, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> list[n
     """Basis of the right nullspace, as a list of vectors.
 
     Rational mode parameterizes the free columns of the RREF, which gives a
-    canonical basis with unit entries in the free positions.  Float mode takes
-    the right singular vectors whose singular values fall below
+    canonical basis with unit entries in the free positions; the entries are
+    read from the integer reduction and divided by its last pivot.  Float
+    mode takes the right singular vectors whose singular values fall below
     rank_tol * sigma_max.  Only a wide matrix needs the full V (its nullspace
     lies past the last singular value); a tall one takes the reduced SVD,
     whose V equals the full one, and never builds the rows x rows U.
     """
     rows, cols = a.shape
     if mode_of(a) == RATIONAL:
-        red, pivots = rref(a)
-        free = [c for c in range(cols) if c not in pivots]
+        red, top, pivots = rref(numerators(a)[0])
         basis = []
-        for f in free:
+        for f in (c for c in range(cols) if c not in pivots):
             v = zeros((cols,), RATIONAL)
             v[f] = Fraction(1)
             for r_idx, p in enumerate(pivots):
-                v[p] = -red[r_idx, f]
+                v[p] = Fraction(-red[r_idx, f], top)
             basis.append(v)
         return basis
     if rows == 0:
@@ -337,7 +366,17 @@ def nullspace(a: np.ndarray, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> list[n
 
 
 def span_basis(vectors, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> list[np.ndarray]:
-    """Greedy maximal independent subset, keeping input order."""
+    """Greedy maximal independent subset, keeping input order.
+
+    Exact vectors take one reduction of their stack as columns: a column is a
+    pivot exactly when its vector is outside the span of the ones before it,
+    which is the greedy choice.  Float vectors are added one at a time while
+    the SVD rank grows.
+    """
+    vectors = list(vectors)
+    if vectors and mode_of(vectors[0]) == RATIONAL:
+        stack = numerators(np.array(vectors, dtype=object))[0]
+        return [vectors[c] for c in rref(stack.T)[2]]
     kept: list[np.ndarray] = []
     current_rank = 0
     for v in vectors:
@@ -349,15 +388,25 @@ def span_basis(vectors, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> list[np.nda
     return kept
 
 
+def _times(n: np.ndarray, factor: int) -> np.ndarray:
+    """Integer array n times factor; a product is taken on Python ints, which
+    cannot wrap."""
+    return n if factor == 1 else n.astype(object) * factor
+
+
 def inverse(a: np.ndarray) -> np.ndarray:
-    """Matrix inverse in either mode; exact mode uses one augmented row reduction."""
+    """Matrix inverse in either mode; exact mode uses one augmented row
+    reduction of the numerators and divides its right block by the last
+    pivot."""
     if mode_of(a) == FLOAT:
         return np.linalg.inv(a)
     n = a.shape[0]
-    red, pivots = rref(np.concatenate([a, identity(n, RATIONAL)], axis=1), pivot_limit=n)
+    num, s = numerators(a)
+    eye = _times(np.eye(n, dtype=np.int64), s)
+    red, top, pivots = rref(np.concatenate([num, eye], axis=1), pivot_limit=n)
     if len(pivots) < n:
         raise np.linalg.LinAlgError("Singular matrix")
-    return red[:, n:]
+    return rescale(red[:, n:], top)
 
 
 def coordinates_in_span(basis, v: np.ndarray,
@@ -375,28 +424,40 @@ def coordinates_in_span_many(basis, targets, tol: TolerancePolicy = DEFAULT_TOLE
     """Span coordinates and membership of many targets in one solve.
 
     basis holds k vectors of length n as rows (a (k, n) array or a list of
-    vectors), targets holds T of them.  Returns (coords, inside): coords has
-    shape (T, k), in the basis' mode, and coords[t] @ basis == targets[t]
-    wherever the bool array inside, shape (T,), is True.  Rows where inside
-    is False mean nothing.
+    vectors), targets holds T of them, or is a pair (numerators, scale) of a
+    (T, n) array and its denominator, as numerators and contract_numerators
+    give it (float targets take scale 1).  Returns (coords, inside): coords
+    has shape (T, k), in the basis' mode, and coords[t] @ basis ==
+    targets[t] wherever the bool array inside, shape (T,), is True.  Rows
+    where inside is False mean nothing.
 
-    Exact mode reads both from one row reduction of [basis^T | targets^T]
-    with pivots limited to the basis columns: a target is inside when its
-    column vanishes below the pivot rows, and its pivot entries are its
-    coordinates (zero on dependent basis vectors).  Float mode makes one
-    stacked least-squares call and accepts a target when its residual is at
-    most membership_tol * max(1, |target|).  An empty basis spans only the
-    zero vector.
+    Exact mode brings basis and target numerators to one denominator and
+    reads both from one row reduction of [basis^T | targets^T] with pivots
+    limited to the basis columns: a target is inside when its column
+    vanishes below the pivot rows, and its pivot entries over the last pivot
+    are its coordinates (zero on dependent basis vectors).  Float mode makes
+    one stacked least-squares call and accepts a target when its residual is
+    at most membership_tol * max(1, |target|).  An empty basis spans only
+    the zero vector.
     """
-    bmat, tmat = np.asarray(basis), np.asarray(targets)
+    bmat = np.asarray(basis)
+    scaled = isinstance(targets, tuple) and len(targets) == 2 and np.ndim(targets[1]) == 0
+    tmat = np.asarray(targets[0] if scaled else targets)
+    tmode = RATIONAL if scaled and tmat.dtype.kind != "f" else mode_of(tmat)
     k, count = len(bmat), len(tmat)
-    mode = mode_of(bmat if k else tmat)
+    mode = mode_of(bmat) if k else tmode
     if not k or not count:
         return zeros((count, k), mode), np.array([not (t != 0).any() for t in tmat], dtype=bool)
     if mode == RATIONAL:
-        red, pivots = rref(np.concatenate([bmat.T, tmat.T], axis=1), pivot_limit=k)
+        if tmode != RATIONAL:
+            raise ModeError("exact basis with float targets")
+        nb, sb = numerators(bmat)
+        nt, st = (tmat, targets[1]) if scaled else numerators(tmat)
+        s = math.lcm(sb, st)
+        aug = np.concatenate([_times(nb, s // sb).T, _times(nt, s // st).T], axis=1)
+        red, top, pivots = rref(aug, pivot_limit=k)
         coords = zeros((count, k), RATIONAL)
-        coords[:, pivots] = red[:len(pivots), k:].T
+        coords[:, pivots] = rescale(red[:len(pivots), k:].T, top)
         return coords, (red[len(pivots):, k:] == 0).all(axis=0)
     coords, _, _, _ = np.linalg.lstsq(bmat.T, tmat.T, rcond=None)
     resid = row_norms(np.subtract((bmat.T @ coords).T, tmat, order="C"))

@@ -168,13 +168,13 @@ def triple_from_involution(g: LieAlgebra, theta: np.ndarray,
     b, sb = nx.numerators(minus.basis)
     c, sc = nx.numerators(g.tensor)
     # [[b_i, b_j], b_k] for all i, j, k in one contraction chain on the
-    # numerators, rescaled once
+    # numerators, which the span kernel takes with their scale
     inner = nx.contract_numerators(b, c, axes=(1, 0))
     inner = nx.contract_numerators(b, inner, axes=(1, 1)).transpose(1, 0, 2)
     dbl = nx.contract_numerators(inner, c, axes=(2, 0))
     dbl = nx.contract_numerators(dbl, b, axes=(2, 1)).transpose(0, 1, 3, 2)
-    dbl = nx.rescale(dbl, sb ** 3 * sc ** 2)
-    coords, inside = nx.coordinates_in_span_many(minus.basis, dbl.reshape(d ** 3, g.dim), tol)
+    coords, inside = nx.coordinates_in_span_many(
+        minus.basis, (dbl.reshape(d ** 3, g.dim), sb ** 3 * sc ** 2), tol)
     if not inside.all():
         raise ClosureDefectError("-1 eigenspace is not closed under double commutators")
     return LieTripleSystem(d, coords.reshape(d, d, d, d), g.mode), minus

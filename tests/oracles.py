@@ -498,12 +498,12 @@ def kernel_outcome(lat, meta_keys):
 
 def solve_exact_loops(a, b):
     """Solve a @ x = b over the rationals; None if inconsistent."""
-    from triplekit.numerics import RATIONAL, rref, zeros
+    from triplekit.numerics import RATIONAL, zeros
     rows, cols = a.shape
     aug = zeros((rows, cols + 1), RATIONAL)
     aug[:, :cols] = a
     aug[:, cols] = b
-    red, pivots = rref(aug)
+    red, pivots = rref_old(aug)
     if cols in pivots:
         return None
     x = zeros((cols,), RATIONAL)
@@ -773,3 +773,133 @@ def derive_sla_float_old(pair, mats):
     # column i of theta holds the coordinates of the image of basis vector i
     return sl.SymmetricLieAlgebra(sl.LieAlgebra(d, coords[:d * d].reshape(d, d, d), mode),
                                   coords[d * d:].T)
+
+
+# ------------------------------------------- exact row reduction on Fractions
+# The exact linear algebra that the fraction-free reduction replaced, as it
+# ran before it: Gauss-Jordan elimination dividing Fraction object rows, the
+# greedy span basis by one rank per candidate, the exact branch of the span
+# kernel, and the morphism check comparing Fraction arrays.  Kept verbatim
+# (names aside; nullspace and the span kernel keep only their exact branch)
+# so that the integer kernel can be held to the same Fractions.
+
+def rref_old(a, pivot_limit=None):
+    """Reduced row echelon form over the rationals.
+
+    Returns the reduced matrix and the list of pivot column indices.
+    Exact mode only.  When pivot_limit is given, pivots are only chosen in
+    the first pivot_limit columns; elimination still clears full rows, which
+    is what augmented multi-column solves need.
+    """
+    from triplekit.numerics import RATIONAL, ModeError, mode_of
+    if mode_of(a) != RATIONAL:
+        raise ModeError("rref is an exact-mode operation")
+    m = a.copy()
+    rows, cols = m.shape
+    pivots = []
+    r = 0
+    span = cols if pivot_limit is None else min(pivot_limit, cols)
+    for c in range(span):
+        pivot_row = None
+        for i in range(r, rows):
+            if m[i, c] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        if pivot_row != r:
+            m[[r, pivot_row]] = m[[pivot_row, r]]
+        m[r] = m[r] / m[r, c]
+        for i in range(rows):
+            if i != r and m[i, c] != 0:
+                m[i] = m[i] - m[i, c] * m[r]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return m, pivots
+
+
+def rank_old(a, tol=None):
+    from triplekit.numerics import DEFAULT_TOLERANCE, RATIONAL, mode_of
+    tol = tol or DEFAULT_TOLERANCE
+    if a.size == 0:
+        return 0
+    if mode_of(a) == RATIONAL:
+        return len(rref_old(a)[1])
+    s = np.linalg.svd(a, compute_uv=False)
+    if s.size == 0 or s[0] == 0.0:
+        return 0
+    return int(np.sum(s > tol.rank_tol * s[0]))
+
+
+def nullspace_old(a):
+    """Exact right nullspace from the free columns of the Fraction RREF."""
+    from triplekit.numerics import RATIONAL, zeros
+    rows, cols = a.shape
+    red, pivots = rref_old(a)
+    free = [c for c in range(cols) if c not in pivots]
+    basis = []
+    for f in free:
+        v = zeros((cols,), RATIONAL)
+        v[f] = Fraction(1)
+        for r_idx, p in enumerate(pivots):
+            v[p] = -red[r_idx, f]
+        basis.append(v)
+    return basis
+
+
+def span_basis_old(vectors, tol=None):
+    """Greedy maximal independent subset, keeping input order."""
+    kept = []
+    current_rank = 0
+    for v in vectors:
+        candidate = kept + [v]
+        r = rank_old(np.array(candidate, dtype=candidate[0].dtype), tol)
+        if r > current_rank:
+            kept.append(v)
+            current_rank = r
+    return kept
+
+
+def inverse_old(a):
+    """Exact inverse by one augmented Fraction row reduction."""
+    from triplekit.numerics import RATIONAL, identity
+    n = a.shape[0]
+    red, pivots = rref_old(np.concatenate([a, identity(n, RATIONAL)], axis=1), pivot_limit=n)
+    if len(pivots) < n:
+        raise np.linalg.LinAlgError("Singular matrix")
+    return red[:, n:]
+
+
+def coordinates_in_span_many_old(basis, targets):
+    """The exact branch of the batched span kernel."""
+    from triplekit.numerics import RATIONAL, mode_of, zeros
+    bmat, tmat = np.asarray(basis), np.asarray(targets)
+    k, count = len(bmat), len(tmat)
+    mode = mode_of(bmat if k else tmat)
+    if not k or not count:
+        return zeros((count, k), mode), np.array([not (t != 0).any() for t in tmat], dtype=bool)
+    red, pivots = rref_old(np.concatenate([bmat.T, tmat.T], axis=1), pivot_limit=k)
+    coords = zeros((count, k), RATIONAL)
+    coords[:, pivots] = red[:len(pivots), k:].T
+    return coords, (red[len(pivots):, k:] == 0).all(axis=0)
+
+
+def certify_morphism_old(f, tol=None):
+    """Return a copy with certified set iff f respects brackets on all basis triples."""
+    from dataclasses import replace
+    from triplekit import numerics as nx
+    from triplekit.numerics import DEFAULT_TOLERANCE, RATIONAL
+    tol = tol or DEFAULT_TOLERANCE
+    thr = 0.0 if f.source.mode == RATIONAL and f.target.mode == RATIONAL else tol.eq_tol
+    fm, src, tgt = f.matrix, f.source.tensor, f.target.tensor
+    exact = all(nx.mode_of(a) == RATIONAL for a in (fm, src, tgt))
+    if not exact:
+        fm, src, tgt = nx.to_float(fm), nx.to_float(src), nx.to_float(tgt)
+    lhs = nx.contract(src, fm, axes=([3], [1]))                    # [i,j,k,p]
+    rhs = nx.contract(fm, tgt, axes=([0], [0]))                    # [i,b,c,p]
+    rhs = nx.contract(rhs, fm, axes=([1], [0]))                    # [i,c,p,j]
+    rhs = nx.contract(rhs, fm, axes=([1], [0])).transpose(0, 2, 3, 1)
+    ok = not (lhs != rhs).any() if exact else nx.max_abs(lhs - rhs) <= thr
+    return replace(f, certified=bool(ok))

@@ -240,6 +240,57 @@ def test_pair_input_errors_exit_2(tmp_path, capsys, command, case, message):
     assert message in captured.err
 
 
+def _complete_doc(kind: str) -> dict:
+    if kind == "lts":
+        return jsonio.lts_to_dict(fx.sphere_lts(2).to_float())
+    if kind == "lie":
+        return jsonio.lie_to_dict(fx.so3_lie().to_float())
+    if kind == "symmetric_lie":
+        return jsonio.symmetric_to_dict(fx.so_symmetric_algebra(2))
+    return _so3_float_pair_doc()
+
+
+@pytest.mark.parametrize("kind,key", [
+    ("lts", "dim"), ("lts", "mode"), ("lts", "bracket"),
+    ("lie", "dim"), ("lie", "mode"), ("lie", "bracket"),
+    ("symmetric_lie", "algebra"), ("symmetric_lie", "theta"),
+    ("pair", "ambient_n"), ("pair", "basis"), ("pair", "sigma"),
+])
+def test_missing_key_is_format_error(tmp_path, capsys, kind, key):
+    doc = _complete_doc(kind)
+    assert main(["check", _write_json(tmp_path, doc, "good.json")]) == 0
+    del doc[key]
+    with pytest.raises(jsonio.FormatError, match=repr(key)):
+        jsonio.from_dict(doc)
+    capsys.readouterr()
+    assert main(["check", _write_json(tmp_path, doc), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"no {key!r} key" in captured.err
+
+
+def test_lts_without_bracket_exits_2(tmp_path, capsys):
+    assert main(["check", _write_json(tmp_path, {"kind": "lts", "dim": 2, "mode": "float"})]) == 2
+    assert "no 'bracket' key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["lts", "lie", "symmetric_lie", "pair"])
+def test_unknown_mode_is_format_error(kind):
+    doc = _complete_doc(kind)
+    (doc["algebra"] if kind == "symmetric_lie" else doc)["mode"] = "exact"
+    with pytest.raises(jsonio.FormatError, match="unknown mode 'exact'"):
+        jsonio.from_dict(doc)
+
+
+def test_pair_with_unknown_mode_exits_2(tmp_path, capsys):
+    doc = _so3_float_pair_doc()
+    doc["mode"] = "exact"
+    assert main(["check", _write_json(tmp_path, doc), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unknown mode 'exact'" in captured.err
+    del doc["mode"]      # an absent mode still means float
+    assert jsonio.pair_from_dict(doc).mode == nx.FLOAT
+
+
 def test_gallery_write_reproduces_shipped_fixtures(gallery_dir):
     shipped = Path(__file__).resolve().parents[1] / "fixtures"
     names = sorted(p.name for p in shipped.glob("*.json"))

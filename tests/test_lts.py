@@ -12,6 +12,7 @@ from oracles import (
     antisymmetry_defect_loops,
     bracket_eval,
     certify_morphism_loops,
+    certify_morphism_old,
     cyclic_defect_loops,
     derivation_defect_loops,
     linear_defect_witness_loops,
@@ -290,3 +291,39 @@ def test_certify_morphism_matches_loop_oracle():
             assert not certify_morphism_loops(g), label
             assert not lt.certify_morphism(g).certified, label
     assert failing >= 10
+
+
+def test_certify_morphism_matches_fraction_oracle():
+    for label, f in gallery_morphisms():
+        deltas = (Fraction(1, 3), Fraction(2 ** 70 + 1, 2 ** 11 * 3)) if f.matrix.size else ()
+        for g in (f, *(perturbed(f, delta) for delta in deltas)):
+            assert lt.certify_morphism(g).certified == certify_morphism_old(g).certified, label
+
+
+def test_rational_change_of_basis_is_certified():
+    # f_a = sum_i p[i, a] e_i; the map taking e-coordinates to f-coordinates
+    # is p^-1, an isomorphism onto the system written in the f basis
+    m = fx.u_minus_lts(2)
+    assert m.dim == 3
+    p = nx.rational_array([[1, 1, 0], [0, 1, 0], [0, 1, 1]])
+    p = p * nx.rational_array([Fraction(1, 2), 3, Fraction(-2, 3)])
+    pinv = nx.inverse(p)
+    t = nx.contract(m.tensor, p, axes=([0], [0]))                  # [j,k,l,a]
+    t = nx.contract(t, p, axes=([0], [0]))                         # [k,l,a,b]
+    t = nx.contract(t, p, axes=([0], [0]))                         # [l,a,b,c]
+    t = nx.contract(t, pinv, axes=([0], [1]))                      # [a,b,c,l]
+    target = lt.LieTripleSystem(m.dim, t, nx.RATIONAL)
+    f = lt.LtsMorphism(m, target, pinv)
+    assert lt.certify_morphism(f).certified and certify_morphism_old(f).certified
+    bad = perturbed(f, Fraction(1, 2 ** 70))
+    assert not lt.certify_morphism(bad).certified and not certify_morphism_old(bad).certified
+
+
+def test_morphism_off_below_float_resolution_stays_uncertified():
+    # (1 + e) I multiplies the bracket by 1 + e on one side and (1 + e)^3 on
+    # the other: the sides differ by about 2e, far below float resolution
+    m = fx.sphere_lts(3)
+    f = lt.LtsMorphism(m, m, nx.identity(3, nx.RATIONAL) * (1 + Fraction(1, 2 ** 80)))
+    assert not lt.certify_morphism(f).certified
+    assert not certify_morphism_old(f).certified
+    assert lt.certify_morphism(float_morphism(f)).certified

@@ -1,5 +1,6 @@
-"""Property tests for the exact contraction kernel, the batched span kernel,
-the float subgroup search, the stacked matrix exponential, the axiom check and
+"""Property tests for the exact contraction kernel, the fraction-free row
+reduction and the exact queries on it, the batched span kernel, the float
+subgroup search, the stacked matrix exponential, the axiom check and
 the JSON round trip (need hypothesis)."""
 
 import json
@@ -20,8 +21,10 @@ from triplekit import periods as pd  # noqa: E402
 from triplekit import symlie as sl  # noqa: E402
 from triplekit import sympair as sp  # noqa: E402
 
-from oracles import (coordinates_in_span_loops, float_subgroup_loops,  # noqa: E402
-                     matrix_exp_loops, search_outcome, tensordot_loops, verify_axioms_d6)
+from oracles import (coordinates_in_span_loops, coordinates_in_span_many_old,  # noqa: E402
+                     float_subgroup_loops, inverse_old, matrix_exp_loops, nullspace_old,
+                     rank_old, rref_old, search_outcome, span_basis_old, tensordot_loops,
+                     verify_axioms_d6)
 
 fractions = st.builds(Fraction, st.integers(-2 ** 70, 2 ** 70), st.integers(1, 2 ** 12))
 
@@ -86,6 +89,97 @@ def test_batched_exact_coordinates_equal_per_target(problem):
         assert bool(inside[t]) == (want is not None)
         if want is not None:
             assert list(coords[t]) == list(want)
+
+
+@st.composite
+def exact_matrices(draw, rows=None, cols=None):
+    """Wide, tall, square, zero and rank-deficient rational matrices with mixed
+    denominators, some numerators past 2**64."""
+    free_cols = cols is None
+    rows = draw(st.integers(0, 6)) if rows is None else rows
+    cols = draw(st.integers(1, 7)) if free_cols else cols
+    if free_cols and rows and draw(st.booleans()):
+        cols = rows
+    entry = st.one_of(st.just(Fraction(0)), st.integers(-3, 3).map(Fraction),
+                      st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)), fractions)
+    a = np.array(draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols)),
+                 dtype=object).reshape(rows, cols)
+    shape = draw(st.sampled_from(["any", "zero", "dependent_row", "dependent_column"]))
+    c = draw(entry)
+    if shape == "zero":
+        a = nx.zeros((rows, cols), nx.RATIONAL)
+    elif shape == "dependent_row" and rows >= 2:
+        a[-1] = c * a[0] + a[1]
+    elif shape == "dependent_column" and cols >= 2:
+        a[:, -1] = c * a[:, 0]
+    return a
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(exact_matrices(), st.one_of(st.none(), st.integers(0, 8)))
+def test_fraction_free_rref_matches_fraction_rref(a, limit):
+    n, s = nx.numerators(a)
+    red, top, pivots = nx.rref(n, limit)
+    old, old_pivots = rref_old(a, limit)
+    r = len(pivots)
+    assert pivots == old_pivots
+    assert red.shape == old.shape
+    assert all(type(x) is int for x in red.reshape(-1))
+    # pivot rows are top times the reduced rows, the rest top * s times the residual
+    assert (red[:r] == top * old[:r]).all()
+    assert (red[r:] == top * s * old[r:]).all()
+    if all(abs(x) < 2 ** 62 for x in n.reshape(-1)):
+        again = nx.rref(n.astype(np.int64), limit)
+        assert again[1:] == (top, pivots) and (again[0] == red).all()
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(exact_matrices())
+def test_exact_queries_match_fraction_oracles(a):
+    assert nx.rank(a) == rank_old(a)
+    assert [list(v) for v in nx.nullspace(a)] == [list(v) for v in nullspace_old(a)]
+    rows = list(a)
+    kept, want = nx.span_basis(rows), span_basis_old(rows)
+    assert len(kept) == len(want) and all(x is y for x, y in zip(kept, want))
+    if a.shape[0] != a.shape[1]:
+        return
+    try:
+        inv = inverse_old(a)
+    except np.linalg.LinAlgError:
+        with pytest.raises(np.linalg.LinAlgError):
+            nx.inverse(a)
+    else:
+        assert (nx.inverse(a) == inv).all()
+
+
+@st.composite
+def exact_span_problems(draw):
+    """A basis from exact_matrices and targets, half of them combinations of it."""
+    k, n = draw(st.integers(0, 5)), draw(st.integers(1, 6))
+    basis = draw(exact_matrices(rows=k, cols=n))
+    targets = []
+    for _ in range(draw(st.integers(0, 5))):
+        if k and draw(st.booleans()):
+            coeffs = draw(exact_matrices(rows=1, cols=k))[0]
+            targets.append(coeffs @ basis)
+        else:
+            targets.append(draw(exact_matrices(rows=1, cols=n))[0])
+    return basis, np.array(targets, dtype=object).reshape(len(targets), n)
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(exact_span_problems())
+def test_exact_span_kernel_matches_fraction_oracle(problem):
+    basis, targets = problem
+    want_coords, want_inside = coordinates_in_span_many_old(basis, targets)
+    num, s = nx.numerators(targets)
+    forms = [targets, (num, s)]
+    if all(abs(x) < 2 ** 62 for x in num.reshape(-1)):
+        forms.append((num.astype(np.int64), s))     # as contract_numerators leaves it
+    for form in forms:
+        coords, inside = nx.coordinates_in_span_many(basis, form)
+        assert (inside == want_inside).all()
+        assert coords.shape == want_coords.shape and (coords == want_coords).all()
 
 
 @st.composite
