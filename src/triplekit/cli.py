@@ -137,8 +137,8 @@ def cmd_check(args) -> int:
                   "even_dim": split.plus.dim, "odd_dim": split.minus.dim}
         _emit(report, args)
         return EXIT_OK if rep.ok else EXIT_VIOLATION
-    system, minus = sp.minus_triple(obj)
-    rep = lt.verify_axioms(system.to_float() if system.mode == RATIONAL else system, tol)
+    system, _ = sp.minus_triple(obj)
+    rep = lt.verify_axioms(system, tol)
     report = {"kind": "pair", "ambient_n": obj.ambient_n,
               "dimension": obj.dim, "odd_dim": system.dim,
               "derived_mode": system.mode, "ok": rep.ok}

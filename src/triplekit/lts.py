@@ -93,10 +93,9 @@ class Subspace:
 
 def subspace_from_vectors(parent_dim: int, vectors, mode: str,
                           tol: TolerancePolicy = DEFAULT_TOLERANCE) -> Subspace:
-    vecs = list(vectors)
-    if not vecs:
+    basis = nx.span_basis(vectors, tol)
+    if not basis:
         return Subspace(parent_dim, nx.zeros((0, parent_dim), mode), mode)
-    basis = nx.span_basis(vecs, tol)
     return Subspace(parent_dim, np.array(basis, dtype=basis[0].dtype), mode)
 
 
@@ -183,8 +182,7 @@ def verify_axioms(m: LieTripleSystem, tol: TolerancePolicy = DEFAULT_TOLERANCE) 
         worst, worst_name = size, "derivation"
         worst_witness = np.unravel_index(first, (d,) * 6)
 
-    threshold = 0.0 if m.mode == RATIONAL else tol.eq_tol
-    ok = worst <= threshold
+    ok = nx.negligible(worst, tol)
     return AxiomReport(ok, float(worst), None if ok else worst_name,
                        None if ok else worst_witness)
 
@@ -200,10 +198,12 @@ def center(m: LieTripleSystem, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> Subs
     stacked = m.tensor.transpose(1, 2, 3, 0).reshape(d * d * d, d)
     basis = nx.nullspace(stacked, tol)
     z = subspace_from_vectors(d, basis, m.mode, tol)
-    thr = 0.0 if m.mode == RATIONAL else tol.eq_tol
-    mid = nx.contract(z.basis, m.tensor, axes=(1, 1))    # bracket(., v, .) per basis v
-    last = nx.contract(z.basis, m.tensor, axes=(1, 2))   # bracket(., ., v) per basis v
-    if nx.max_abs(mid) > thr or nx.max_abs(last) > thr:
+    b, sb = nx.numerators(z.basis)
+    c, sc = nx.numerators(m.tensor)
+    mid = nx.contract_numerators(b, c, axes=(1, 1))    # bracket(., v, .) per basis v
+    last = nx.contract_numerators(b, c, axes=(1, 2))   # bracket(., ., v) per basis v
+    if not (nx.negligible(nx.defect_size(mid, sb * sc), tol)
+            and nx.negligible(nx.defect_size(last, sb * sc), tol)):
         raise LtsStructureError("central vector fails a lateral identity; tensor is not an LTS")
     if z.dim and not is_ideal(m, z, tol):
         raise LtsStructureError("center is not an ideal; tensor is not an LTS")

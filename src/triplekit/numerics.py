@@ -17,9 +17,9 @@ numerators over one common denominator, and every kernel works on those:
   exact ``Fraction``.
 - ``rref`` is fraction-free Gauss-Jordan elimination (Bareiss) on Python-int
   rows: every step divides exactly by the previous pivot, so the entries stay
-  integer minors of the input.  ``rank``, ``span_basis``, ``nullspace``,
-  ``inverse`` and the exact span kernel read its integers and build a
-  ``Fraction`` only for the entries they return.
+  integer minors of the input.  ``span_basis``, ``nullspace``, ``inverse`` and
+  the exact span kernel read its integers and build a ``Fraction`` only for
+  the entries they return.
 
 Float arrays pass through all of these with denominator 1.
 
@@ -31,7 +31,13 @@ one least-squares call (float) and returns arrays, not per-target results:
 Exact targets may come as ``(numerators, scale)``, as a contraction of
 numerators leaves them, so no ``Fraction`` copy is built in between.
 Structure checks build all their targets with one contraction and make one
-call; ``coordinates_in_span`` is the one-target case.
+call; ``coordinates_in_span`` is the one-target case.  Independence is the
+same rule: ``span_basis`` keeps a vector exactly when that kernel puts it
+outside the span of the vectors kept before it, and an empty basis is no
+exception (a float target is inside it when its norm is negligible).
+
+Every zero decision on a defect goes through ``negligible``: an exact
+defect must be 0, a float one at most eq_tol.
 """
 
 from __future__ import annotations
@@ -269,6 +275,17 @@ def defect_size(n: np.ndarray, s: int = 1):
     return Fraction(_max_abs_int(n), s)
 
 
+def negligible(defect, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> bool:
+    """Whether a defect size decides "zero".
+
+    An exact defect (a Fraction, as defect_size gives it for integer
+    numerators) must be 0; a float one may be at most eq_tol.
+    """
+    if isinstance(defect, float):
+        return defect <= tol.eq_tol
+    return defect == 0
+
+
 def rref(n: np.ndarray, pivot_limit: int | None = None) -> tuple[np.ndarray, int, list[int]]:
     """Fraction-free reduced row echelon form of an integer matrix.
 
@@ -324,17 +341,6 @@ def rref(n: np.ndarray, pivot_limit: int | None = None) -> tuple[np.ndarray, int
     return np.array(m, dtype=object).reshape(rows, cols), prev, pivots
 
 
-def rank(a: np.ndarray, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> int:
-    if a.size == 0:
-        return 0
-    if mode_of(a) == RATIONAL:
-        return len(rref(numerators(a)[0])[2])
-    s = np.linalg.svd(a, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > tol.rank_tol * s[0]))
-
-
 def nullspace(a: np.ndarray, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> list[np.ndarray]:
     """Basis of the right nullspace, as a list of vectors.
 
@@ -368,23 +374,19 @@ def nullspace(a: np.ndarray, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> list[n
 def span_basis(vectors, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> list[np.ndarray]:
     """Greedy maximal independent subset, keeping input order.
 
-    Exact vectors take one reduction of their stack as columns: a column is a
-    pivot exactly when its vector is outside the span of the ones before it,
-    which is the greedy choice.  Float vectors are added one at a time while
-    the SVD rank grows.
+    A vector is kept when coordinates_in_span puts it outside the span of
+    the vectors kept before it.  Exact vectors take one reduction of their
+    stack as columns instead: a column is a pivot exactly when its vector is
+    outside the span of the ones before it, which is the same greedy choice.
     """
     vectors = list(vectors)
     if vectors and mode_of(vectors[0]) == RATIONAL:
         stack = numerators(np.array(vectors, dtype=object))[0]
         return [vectors[c] for c in rref(stack.T)[2]]
     kept: list[np.ndarray] = []
-    current_rank = 0
     for v in vectors:
-        candidate = kept + [v]
-        r = rank(np.array(candidate, dtype=candidate[0].dtype), tol)
-        if r > current_rank:
+        if coordinates_in_span(kept, v, tol) is None:
             kept.append(v)
-            current_rank = r
     return kept
 
 
@@ -437,8 +439,9 @@ def coordinates_in_span_many(basis, targets, tol: TolerancePolicy = DEFAULT_TOLE
     vanishes below the pivot rows, and its pivot entries over the last pivot
     are its coordinates (zero on dependent basis vectors).  Float mode makes
     one stacked least-squares call and accepts a target when its residual is
-    at most membership_tol * max(1, |target|).  An empty basis spans only
-    the zero vector.
+    at most membership_tol * max(1, |target|).  An empty basis takes the
+    same path: exact targets are inside only when zero, float ones when
+    |target| itself is within that bound.
     """
     bmat = np.asarray(basis)
     scaled = isinstance(targets, tuple) and len(targets) == 2 and np.ndim(targets[1]) == 0
@@ -446,8 +449,10 @@ def coordinates_in_span_many(basis, targets, tol: TolerancePolicy = DEFAULT_TOLE
     tmode = RATIONAL if scaled and tmat.dtype.kind != "f" else mode_of(tmat)
     k, count = len(bmat), len(tmat)
     mode = mode_of(bmat) if k else tmode
-    if not k or not count:
-        return zeros((count, k), mode), np.array([not (t != 0).any() for t in tmat], dtype=bool)
+    if not count:
+        return zeros((0, k), mode), np.zeros(0, dtype=bool)
+    if not k:
+        bmat = zeros((0, tmat.shape[1]), mode)
     if mode == RATIONAL:
         if tmode != RATIONAL:
             raise ModeError("exact basis with float targets")

@@ -308,7 +308,7 @@ def subgroup_discreteness(generators, config: SubgroupSearchConfig = SubgroupSea
     if not gens:
         return KernelLattice(0, (), DISCRETE, meta={"caveat": FINITE_DIMENSION_CAVEAT})
     arrs = [np.asarray(g) for g in gens]
-    nonzero = [g for g in arrs if nx.max_abs(np.asarray(g)) != 0.0]
+    nonzero = [g for g in arrs if (g != 0).any()]
     if config.mode == RATIONAL:
         if not nonzero:
             return KernelLattice(arrs[0].shape[0], (), DISCRETE,

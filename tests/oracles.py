@@ -903,3 +903,84 @@ def certify_morphism_old(f, tol=None):
     rhs = nx.contract(rhs, fm, axes=([1], [0])).transpose(0, 2, 3, 1)
     ok = not (lhs != rhs).any() if exact else nx.max_abs(lhs - rhs) <= thr
     return replace(f, certified=bool(ok))
+
+
+# ------------------------------------------- standard embedding, per operator
+# symlie.standard_embedding as it ran before it chose its operators with
+# nx.span_basis and read the odd block straight from theta: a greedy loop
+# over the bracket operators, two span solves, theta built entry by entry,
+# and the round trip through minus_triple's nullspace of theta + 1.  Kept
+# verbatim (names aside) so that the rewrite can be held to the same
+# operators, structure constants and theta.  Its float operator choice
+# skips exactly zero operators only, and its float odd basis is rotated, so
+# it is the reference on exact systems.  (The float span_basis it replaced,
+# an SVD rank per candidate, is span_basis_old above with float vectors.)
+
+def standard_embedding_old(m, tol=None):
+    from fractions import Fraction
+    from triplekit import lts as lt
+    from triplekit import numerics as nx
+    from triplekit.lts import LtsMorphism
+    from triplekit.numerics import DEFAULT_TOLERANCE, RATIONAL
+    from triplekit.symlie import (AxiomDefectError, LieAlgebra, StandardEmbedding,
+                                  SymmetricLieAlgebra, lie_center, minus_triple,
+                                  verify_lie_axioms)
+    tol = tol or DEFAULT_TOLERANCE
+    d = m.dim
+    ops = []
+    for i in range(d):
+        for j in range(d):
+            cand = m.tensor[i, j].T  # maps e_k to the bracket of (e_i, e_j, e_k)
+            if nx.max_abs(cand) == 0.0:
+                continue
+            if nx.coordinates_in_span([o.reshape(-1) for o in ops], cand.reshape(-1), tol) is None:
+                ops.append(cand)
+    h = len(ops)
+    n = h + d
+    tensor = nx.zeros((n, n, n), m.mode)
+    stack = np.array(ops, dtype=m.tensor.dtype).reshape(h, d, d)
+    flat_ops = stack.reshape(h, d * d)
+    comms = nx.commutators(stack, stack).reshape(h * h, d * d)
+    coords, inside = nx.coordinates_in_span_many(flat_ops, comms, tol)
+    if not inside.all():
+        raise AxiomDefectError("operator span is not closed under commutators")
+    tensor[:h, :h, :h] = coords.reshape(h, h, h)
+    # an operator acting on an odd basis vector: column k of the operator
+    tensor[:h, h:, h:] = stack.transpose(0, 2, 1)
+    tensor[h:, :h, h:] = -stack.transpose(2, 0, 1)
+    brackets = m.tensor.transpose(0, 1, 3, 2).reshape(d * d, d * d)  # operator of (e_i, e_j)
+    coords, inside = nx.coordinates_in_span_many(flat_ops, brackets, tol)
+    if not inside.all():
+        raise AxiomDefectError("bracket operator escaped the operator span")
+    tensor[h:, h:, :h] = coords.reshape(d, d, h)
+    ambient = LieAlgebra(n, tensor, m.mode)
+    report = verify_lie_axioms(ambient, tol)
+    if not report.ok:
+        raise AxiomDefectError(f"embedding violates {report.identity} by {report.worst_violation}")
+    theta = nx.identity(n, m.mode)
+    minus_one = Fraction(-1) if m.mode == RATIONAL else -1.0
+    for k in range(d):
+        theta[h + k, h + k] = minus_one
+    symmetric = SymmetricLieAlgebra(ambient, theta, tol)  # checks the automorphism
+
+    back, minus = minus_triple(symmetric, tol)
+    thr = 0.0 if m.mode == RATIONAL else tol.eq_tol
+    expected = nx.identity(n, m.mode)[h:, :]
+    if minus.basis.shape != expected.shape or nx.max_abs(minus.basis - expected) > thr:
+        raise AxiomDefectError("odd eigenspace basis is not the canonical block")
+    if nx.max_abs(back.tensor - m.tensor) > thr:
+        raise AxiomDefectError("round trip through the embedding deformed the bracket")
+
+    z_ambient = lie_center(ambient, tol)
+    z_m = lt.center(m, tol)
+    embedded = nx.zeros((z_m.dim, n), m.mode)
+    embedded[:, h:] = z_m.basis
+    z_embedded = lt.subspace_from_vectors(n, embedded, m.mode, tol)
+    if not z_ambient.equals(z_embedded, tol):
+        raise AxiomDefectError("ambient center differs from the embedded center")
+
+    emb_matrix = nx.identity(d, m.mode)
+    embedding = lt.certify_morphism(LtsMorphism(m, back, emb_matrix), tol)
+    if not embedding.certified:
+        raise AxiomDefectError("embedding morphism failed certification")
+    return StandardEmbedding(m, symmetric, h, tuple(ops), embedding)

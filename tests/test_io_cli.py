@@ -116,6 +116,20 @@ def test_check_fails_on_broken_system(tmp_path, capsys):
     assert "ok: False" in out
 
 
+def test_check_of_rescaled_exact_pair_is_exact(tmp_path, capsys):
+    # basis matrices times integers in [300, 3000) give structure constants
+    # of up to about 10^7; the derived system is exact and checks exactly
+    doc = json.loads(jsonio.dumps(fx.u_modulo_o_pair(3)))
+    factors = np.random.default_rng(5).integers(300, 3000, len(doc["basis"]))
+    doc["basis"] = [[[str(Fraction(x) * int(k)) for x in row] for row in m]
+                    for m, k in zip(doc["basis"], factors)]
+    p = tmp_path / "pair.json"
+    p.write_text(json.dumps(doc))
+    assert main(["check", str(p), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] and report["derived_mode"] == "rational"
+
+
 def test_missing_file_is_input_error(capsys):
     rc = main(["check", "/nonexistent/nowhere.json"])
     assert rc == 2

@@ -113,6 +113,17 @@ def test_center_u2_minus_is_scalar_line():
     assert v[0] == v[1] and v[0] != 0 and v[2] == 0
 
 
+@pytest.mark.parametrize("eps", [Fraction(1), Fraction(1, 2 ** 1100)])
+def test_center_lateral_check_is_exact(eps):
+    # bracket(e2, e1, e2) = eps e1: e1 is in the kernel of x -> bracket(x, ., .)
+    # and span{e1} is an ideal, but e1 fails the middle lateral identity,
+    # by eps, which float() reads as 0.0 when eps = 2^-1100
+    tensor = nx.zeros((2, 2, 2, 2), nx.RATIONAL)
+    tensor[1, 0, 1, 0] = eps
+    with pytest.raises(lt.LtsStructureError, match="central vector fails a lateral identity"):
+        lt.center(lt.LieTripleSystem(2, tensor, nx.RATIONAL))
+
+
 def test_float_center_memory_u4_minus():
     # the d^3 x d stacked bracket matrix is tall: the reduced SVD never builds
     # its d^3 x d^3 U, which alone is 8 MB at d = 10
@@ -129,6 +140,12 @@ def test_float_center_memory_u4_minus():
         tracemalloc.stop()
     assert z.dim == 1
     assert peak < 2 ** 20
+
+def test_subspace_of_negligible_vectors_is_zero():
+    exact = lt.subspace_from_vectors(3, [nx.zeros((3,), nx.RATIONAL)], nx.RATIONAL)
+    noise = lt.subspace_from_vectors(3, [np.full(3, 1e-16)], nx.FLOAT)
+    assert exact.basis.shape == noise.basis.shape == (0, 3)
+
 
 def test_subsystem_not_ideal_in_sphere():
     m = fx.sphere_lts(3)

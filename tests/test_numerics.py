@@ -60,21 +60,27 @@ def test_exact_and_float_nullspace_dims_agree():
         assert len(nx.nullspace(exact)) == len(nx.nullspace(approx))
 
 
-def test_rank_rational_and_float():
-    a = nx.rational_array([[1, 2], [2, 4]])
-    assert nx.rank(a) == 1
-    assert nx.rank(nx.to_float(a)) == 1
-    assert nx.rank(nx.identity(3, nx.FLOAT)) == 3
-
-
 def test_span_basis_greedy_order():
     vs = [nx.rational_array([1, 0, 0]),
           nx.rational_array([2, 0, 0]),
           nx.rational_array([0, 1, 0]),
           nx.rational_array([1, 1, 0])]
-    kept = nx.span_basis(vs)
-    assert len(kept) == 2
-    assert kept[0] is vs[0] and kept[1] is vs[2]
+    for vectors in (vs, [nx.to_float(v) for v in vs]):
+        kept = nx.span_basis(vectors)
+        assert len(kept) == 2
+        assert kept[0] is vectors[0] and kept[1] is vectors[2]
+    eye = list(nx.identity(3, nx.FLOAT))
+    assert len(nx.span_basis(eye + [np.ones(3)])) == 3
+
+
+def test_empty_basis_membership():
+    # an empty basis spans the vectors the membership rule calls zero
+    coords, inside = nx.coordinates_in_span_many([], [np.full(3, 1e-16), np.full(3, 1e-3)])
+    assert coords.shape == (2, 0) and inside.tolist() == [True, False]
+    exact = [nx.zeros((3,), nx.RATIONAL), nx.rational_array(["0", "1/10000000000", "0"])]
+    coords, inside = nx.coordinates_in_span_many([], exact)
+    assert coords.shape == (2, 0) and inside.tolist() == [True, False]
+    assert nx.span_basis([np.full(3, 1e-16), np.full(3, 1e-3)])[0][0] == 1e-3
 
 
 def test_coordinates_in_span():

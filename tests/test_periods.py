@@ -207,6 +207,14 @@ def test_rational_slope_control_discrete():
     assert [str(lat.generators[0][0])] == ["1/14"]
 
 
+def test_rational_generator_below_float_range_is_kept():
+    # float(2^-1100) is 0.0, but the generator is not zero
+    tiny = Fraction(1, 2 ** 1100)
+    lat = pd.subgroup_discreteness([_frac(3), _frac(tiny)], CFG_EXACT)
+    assert lat.verdict == pd.DISCRETE
+    assert [[abs(x) for x in g] for g in lat.generators] == [[tiny]]
+
+
 def test_empty_and_zero_generators_discrete():
     assert pd.subgroup_discreteness([], CFG).verdict == pd.DISCRETE
     z = pd.subgroup_discreteness([np.zeros(3)], CFG)

@@ -23,7 +23,7 @@ from triplekit import sympair as sp  # noqa: E402
 
 from oracles import (coordinates_in_span_loops, coordinates_in_span_many_old,  # noqa: E402
                      float_subgroup_loops, inverse_old, matrix_exp_loops, nullspace_old,
-                     rank_old, rref_old, search_outcome, span_basis_old, tensordot_loops,
+                     rref_old, search_outcome, span_basis_old, tensordot_loops,
                      verify_axioms_d6)
 
 fractions = st.builds(Fraction, st.integers(-2 ** 70, 2 ** 70), st.integers(1, 2 ** 12))
@@ -136,7 +136,6 @@ def test_fraction_free_rref_matches_fraction_rref(a, limit):
 @hypothesis.settings(max_examples=150, deadline=None)
 @hypothesis.given(exact_matrices())
 def test_exact_queries_match_fraction_oracles(a):
-    assert nx.rank(a) == rank_old(a)
     assert [list(v) for v in nx.nullspace(a)] == [list(v) for v in nullspace_old(a)]
     rows = list(a)
     kept, want = nx.span_basis(rows), span_basis_old(rows)

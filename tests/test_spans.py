@@ -14,7 +14,8 @@ from triplekit import sympair as sp
 from triplekit.numerics import FLOAT, RATIONAL, TolerancePolicy
 
 from oracles import (coordinates_in_span_loops, embedding_tensor_loops, is_ideal_loops,
-                     is_subsystem_loops, plus_closure_loops)
+                     is_subsystem_loops, plus_closure_loops, span_basis_old,
+                     standard_embedding_old)
 
 SEED = 20240611
 LOOSE = TolerancePolicy(eq_tol=10.0)
@@ -232,14 +233,53 @@ def test_standard_embedding_matches_per_operator_loops(name):
     assert got.shape == tensor.shape and (got == tensor).all()
     mf = m.to_float()
     _, tensor_f = embedding_tensor_loops(mf)
-    emb_f = _outcome(sl.standard_embedding, mf)
-    if isinstance(emb_f, tuple):
-        # a known defect of float embeddings, checked after the coordinate
-        # solves: the float odd eigenspace basis is orthonormal, not e_h..e_n
-        assert emb_f == (sl.AxiomDefectError, "odd eigenspace basis is not the canonical block")
-        return
-    assert emb_f.h_dim == emb.h_dim
+    emb_f = sl.standard_embedding(mf)
+    assert emb_f.h_dim == emb.h_dim and emb_f.embedding.certified
     np.testing.assert_allclose(emb_f.symmetric.algebra.tensor, tensor_f, rtol=0, atol=1e-9)
+
+
+def _rebased_lts(m: lt.LieTripleSystem, rng) -> lt.LieTripleSystem:
+    """The exact system on a seeded rational change of basis f_a = sum_i p[i, a] e_i."""
+    p = nx.rational_array([[str(Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 4))))
+                            for _ in range(m.dim)] for _ in range(m.dim)])
+    while len(nx.span_basis(list(p))) < m.dim:
+        p = p + nx.identity(m.dim, RATIONAL)
+    t = nx.contract(m.tensor, p, axes=([0], [0]))                  # [j,k,l,a]
+    t = nx.contract(t, p, axes=([0], [0]))                         # [k,l,a,b]
+    t = nx.contract(t, p, axes=([0], [0]))                         # [l,a,b,c]
+    t = nx.contract(t, nx.inverse(p), axes=([0], [1]))             # [a,b,c,l]
+    return lt.LieTripleSystem(m.dim, t, RATIONAL)
+
+
+def _gallery_and_rebased():
+    rng = np.random.default_rng(SEED)
+    out = []
+    for name, m in sorted(fx.lts_gallery().items()):
+        out += [(name, m), (f"{name} rebased", _rebased_lts(m, rng))]
+    return out
+
+
+def test_standard_embedding_matches_old_code():
+    for label, m in _gallery_and_rebased():
+        got, want = sl.standard_embedding(m), standard_embedding_old(m)
+        assert got.h_dim == want.h_dim, label
+        assert all((a == b).all() for a, b in zip(got.operators, want.operators)), label
+        for a, b in ((got.symmetric.algebra.tensor, want.symmetric.algebra.tensor),
+                     (got.symmetric.theta, want.symmetric.theta),
+                     (got.embedding.matrix, want.embedding.matrix),
+                     (got.embedding.target.tensor, want.embedding.target.tensor)):
+            assert a.shape == b.shape and (a == b).all(), label
+        assert got.embedding.certified and want.embedding.certified, label
+
+
+def test_float_span_basis_matches_old_code_on_bracket_operators():
+    # no operator of these systems is rounding noise, so the membership rule
+    # keeps exactly the operators the SVD rank did
+    for label, m in _gallery_and_rebased():
+        d = m.dim
+        ops = list(nx.to_float(m.tensor).transpose(0, 1, 3, 2).reshape(d * d, d * d))
+        got, want = nx.span_basis(ops), span_basis_old(ops)
+        assert [id(v) for v in got] == [id(v) for v in want], label
 
 
 # ------------------------------------------------------------------ error paths

@@ -165,6 +165,29 @@ def test_standard_embedding_sphere(n, h_expected):
     assert emb.embedding.certified
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_standard_embedding_rotated_float_sphere(n):
+    # the (i, i) bracket operators of a rotated sphere are rounding noise,
+    # about 1e-16; they lie in the span of nothing but count as zero
+    q, r = np.linalg.qr(np.random.default_rng([SEED, n]).standard_normal((n, n)))
+    q = q * np.sign(np.diag(r))
+    t = np.einsum("ai,bj,ck,ijkl,dl->abcd", q, q, q, nx.to_float(fx.sphere_lts(n).tensor), q)
+    assert 0 < np.abs(t[0, 0]).max() < 1e-14
+    emb = sl.standard_embedding(lt.LieTripleSystem(n, t, nx.FLOAT))
+    assert emb.h_dim == n * (n - 1) // 2
+    assert sl.lie_center(emb.symmetric.algebra).dim == 0
+    assert emb.embedding.certified
+
+
+def test_standard_embedding_below_float_range():
+    # every bracket entry is +-2^-1100, which float() turns into 0.0
+    m = fx.sphere_lts(3)
+    small = lt.LieTripleSystem(3, m.tensor * Fraction(1, 2 ** 1100), nx.RATIONAL)
+    emb = sl.standard_embedding(small)
+    assert emb.h_dim == 3 and emb.symmetric.dim == 6
+    assert emb.embedding.certified
+
+
 def test_standard_embedding_u2_minus():
     emb = sl.standard_embedding(fx.u_minus_lts(2))
     assert emb.h_dim == 1
