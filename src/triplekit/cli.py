@@ -25,7 +25,7 @@ from triplekit import numerics as nx
 from triplekit import periods as pd
 from triplekit import symlie as sl
 from triplekit import sympair as sp
-from triplekit.numerics import FLOAT, RATIONAL, TolerancePolicy
+from triplekit.numerics import FLOAT, TolerancePolicy
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -104,7 +104,7 @@ def _direction(pair, args, fallback: str = "center"):
     # geodesics and exponentials take any odd direction; use the first
     # odd basis vector, unit Frobenius norm
     _, minus = sp.minus_triple(pair, FLOAT)
-    mat = sp.tangent_from_coords(pair, nx.to_float(minus.basis[0]))
+    mat = sp.tangent_from_coords(pair, minus.basis[0])
     return mat / nx.frobenius(mat)
 
 
@@ -194,10 +194,10 @@ def cmd_quotient(args) -> int:
     if args.ideal:
         with open(args.ideal) as f:
             doc = json.load(f)
-        vecs = [np.array([jsonio._decoder(obj.mode)(x) for x in row],
-                         dtype=object if obj.mode == RATIONAL else float)
-                for row in doc["vectors"]]
-        ideal = lt.subspace_from_vectors(obj.dim, vecs, obj.mode, tol)
+        vecs = jsonio._dec_matrix(jsonio._field(doc, "vectors"), obj.mode)
+        if len(vecs) and vecs.shape[1] != obj.dim:
+            raise jsonio.FormatError(f"ideal vectors need {obj.dim} entries each")
+        ideal = lt.subspace_from_vectors(vecs.reshape(-1, obj.dim), tol)
     else:
         ideal = lt.center(obj, tol)
     qsys, proj = lt.quotient(obj, ideal, tol)
@@ -312,8 +312,7 @@ def cmd_quotient_demo(args) -> int:
     control = pd.quotient_projection_discreteness(
         [np.array([Fraction(1), Fraction(0)], dtype=object),
          np.array([Fraction(0), Fraction(1)], dtype=object)],
-        [np.array([Fraction(1), Fraction(2)], dtype=object)],
-        pd.SubgroupSearchConfig(mode=RATIONAL))
+        [np.array([Fraction(1), Fraction(2)], dtype=object)])
     report = {
         "units": "generator-normalized: the lattice is d*(Z + sqrt(2) Z); "
                  "values are reported with d = 1",

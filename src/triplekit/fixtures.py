@@ -149,11 +149,8 @@ def flip_symmetric_algebra(g: "sl.LieAlgebra") -> "sl.SymmetricLieAlgebra":
     tensor[:d, :d, :d] = g.tensor
     tensor[d:, d:, d:] = g.tensor
     doubled = sl.LieAlgebra(2 * d, tensor, g.mode)
-    theta = nx.zeros((2 * d, 2 * d), g.mode)
-    one = Fraction(1) if g.mode == RATIONAL else 1.0
-    for i in range(d):
-        theta[i, d + i] = one
-        theta[d + i, i] = one
+    # the swap: identity rows with the two halves exchanged
+    theta = nx.identity(2 * d, g.mode)[np.roll(np.arange(2 * d), d)]
     return sl.SymmetricLieAlgebra(doubled, theta)
 
 

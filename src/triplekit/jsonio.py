@@ -29,8 +29,20 @@ def _enc(x, mode):
 
 
 def _decoder(mode):
-    """Parser of one JSON value: exact values come from their fraction strings."""
-    return Fraction if mode == RATIONAL else float
+    """The one parser of a JSON value, for every field: an exact value is a
+    fraction string or a JSON integer, a float value a JSON number (NaN too,
+    for the non-finite checks to reject).  Anything else, bools included, is
+    a FormatError."""
+    make, kinds = (Fraction, (str, int)) if mode == RATIONAL else (float, (float, int))
+
+    def dec(x):
+        try:
+            if type(x) in kinds:
+                return make(x)
+        except (ValueError, ZeroDivisionError, OverflowError):
+            pass
+        raise FormatError(f"{x!r} is not a {mode} value")
+    return dec
 
 
 def _enc_matrix(m, mode):
@@ -38,9 +50,13 @@ def _enc_matrix(m, mode):
 
 
 def _dec_matrix(rows, mode):
-    if mode == RATIONAL:
-        return nx.rational_array([[str(x) for x in row] for row in rows])
-    return np.array(rows, dtype=float)
+    """A list of equal-length lists of values, as a 2-D array in mode."""
+    if not isinstance(rows, list) or any(
+            not isinstance(r, list) or len(r) != len(rows[0]) for r in rows):
+        raise FormatError("a matrix must be a list of rows of one length")
+    dec = _decoder(mode)
+    return np.array([[dec(x) for x in row] for row in rows],
+                    dtype=object if mode == RATIONAL else float)
 
 
 def _field(doc, key: str):

@@ -66,18 +66,22 @@ class LieTripleSystem:
 
 @dataclass(frozen=True)
 class Subspace:
-    """Subspace of R^parent_dim, basis vectors as rows."""
-    parent_dim: int
-    basis: np.ndarray  # shape (k, parent_dim)
-    mode: str
-
-    def __post_init__(self):
-        if self.basis.ndim != 2 or self.basis.shape[1] != self.parent_dim:
-            raise LtsStructureError("basis shape does not match parent_dim")
+    """Span of the independent rows of a (k, n) array; dimension, ambient
+    dimension and mode are read off it.  Rows that may be dependent go
+    through subspace_from_vectors."""
+    basis: np.ndarray
 
     @property
     def dim(self) -> int:
         return self.basis.shape[0]
+
+    @property
+    def parent_dim(self) -> int:
+        return self.basis.shape[1]
+
+    @property
+    def mode(self) -> str:
+        return nx.mode_of(self.basis)
 
     def contains(self, v: np.ndarray, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> bool:
         return self.contains_all([v], tol)
@@ -91,12 +95,11 @@ class Subspace:
         return self.contains_all(other.basis, tol) and other.contains_all(self.basis, tol)
 
 
-def subspace_from_vectors(parent_dim: int, vectors, mode: str,
+def subspace_from_vectors(vectors: np.ndarray,
                           tol: TolerancePolicy = DEFAULT_TOLERANCE) -> Subspace:
-    basis = nx.span_basis(vectors, tol)
-    if not basis:
-        return Subspace(parent_dim, nx.zeros((0, parent_dim), mode), mode)
-    return Subspace(parent_dim, np.array(basis, dtype=basis[0].dtype), mode)
+    """Span of the rows of a (T, n) array that may be dependent: the rows
+    nx.span_basis keeps, in order."""
+    return Subspace(vectors[nx.span_basis(vectors, tol)])
 
 
 @dataclass(frozen=True)
@@ -196,8 +199,7 @@ def center(m: LieTripleSystem, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> Subs
     """
     d = m.dim
     stacked = m.tensor.transpose(1, 2, 3, 0).reshape(d * d * d, d)
-    basis = nx.nullspace(stacked, tol)
-    z = subspace_from_vectors(d, basis, m.mode, tol)
+    z = Subspace(nx.nullspace(stacked, tol))
     b, sb = nx.numerators(z.basis)
     c, sc = nx.numerators(m.tensor)
     mid = nx.contract_numerators(b, c, axes=(1, 1))    # bracket(., v, .) per basis v
@@ -241,20 +243,19 @@ def quotient(m: LieTripleSystem, ideal: Subspace,
              tol: TolerancePolicy = DEFAULT_TOLERANCE) -> tuple[LieTripleSystem, LtsMorphism]:
     """Quotient system and the certified projection onto it.
 
-    The complement is chosen greedily from the standard basis, so quotient
-    coordinates are reproducible.
+    One greedy nx.span_basis pass over the ideal's rows, then the standard
+    basis, keeps a basis of the ideal and, after it, the unit vectors of the
+    complement, so quotient coordinates are reproducible.
     """
     if not is_ideal(m, ideal, tol):
         raise NotAnIdealError("subspace is not an ideal")
-    d = m.dim
-    ideal = subspace_from_vectors(d, list(ideal.basis), m.mode, tol)
-    eye = nx.identity(d, m.mode)
-    extended = nx.span_basis(list(ideal.basis) + [eye[i] for i in range(d)], tol)
-    complement = extended[ideal.dim:]
-    q = len(complement)
+    rows = np.concatenate([ideal.basis, nx.identity(m.dim, m.mode)])
+    kept = nx.span_basis(rows, tol)
+    split = sum(i < ideal.dim for i in kept)
+    q = len(kept) - split
     # rows: complement then ideal; coordinates of x are solve(B^T a = x), so
     # the projection is the first q rows of the inverse of B^T, shape (q, d)
-    b = np.array(list(complement) + list(ideal.basis), dtype=m.tensor.dtype)
+    b = rows[kept[split:] + kept[:split]]
     proj = nx.inverse(b.T)[:q]
     comp = b[:q]
     # tensor[a, b, c, :] = proj applied to bracket(comp_a, comp_b, comp_c)
@@ -306,15 +307,12 @@ def grid_path_system(base: LieTripleSystem, grid_size: int, constraint: str) -> 
 
 def grid_node_embedding(grid: GridPathSystem, sub: Subspace) -> Subspace:
     """Block embedding of a base subspace into every free node of a grid."""
-    free = grid.system.dim // grid.base.dim
-    d = grid.base.dim
-    vectors = []
+    d, k = grid.base.dim, sub.dim
+    free = grid.system.dim // d
+    basis = nx.zeros((free * k, free * d), grid.base.mode)
     for node in range(free):
-        for v in sub.basis:
-            vec = nx.zeros((grid.system.dim,), grid.base.mode)
-            vec[node * d:(node + 1) * d] = v
-            vectors.append(vec)
-    return subspace_from_vectors(grid.system.dim, vectors, grid.base.mode)
+        basis[node * k:(node + 1) * k, node * d:(node + 1) * d] = sub.basis
+    return Subspace(basis)
 
 
 def certify_morphism(f: LtsMorphism, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> LtsMorphism:

@@ -32,9 +32,11 @@ Exact targets may come as ``(numerators, scale)``, as a contraction of
 numerators leaves them, so no ``Fraction`` copy is built in between.
 Structure checks build all their targets with one contraction and make one
 call; ``coordinates_in_span`` is the one-target case.  Independence is the
-same rule: ``span_basis`` keeps a vector exactly when that kernel puts it
-outside the span of the vectors kept before it, and an empty basis is no
-exception (a float target is inside it when its norm is negligible).
+same rule: ``span_basis`` returns the indices of the rows that kernel puts
+outside the span of the rows kept before them, and an empty basis is no
+exception (a float target is inside it when its norm is negligible).  A
+basis is one (k, n) array, rows as vectors; ``nullspace`` gives one whose
+rows are independent by construction, so it takes no ``span_basis`` pass.
 
 Every zero decision on a defect goes through ``negligible``: an exact
 defect must be 0, a float one at most eq_tol.
@@ -108,9 +110,7 @@ def zeros(shape, mode: str) -> np.ndarray:
 
 def identity(n: int, mode: str) -> np.ndarray:
     out = zeros((n, n), mode)
-    one = Fraction(1) if mode == RATIONAL else 1.0
-    for i in range(n):
-        out[i, i] = one
+    np.fill_diagonal(out, Fraction(1) if mode == RATIONAL else 1.0)
     return out
 
 
@@ -341,52 +341,49 @@ def rref(n: np.ndarray, pivot_limit: int | None = None) -> tuple[np.ndarray, int
     return np.array(m, dtype=object).reshape(rows, cols), prev, pivots
 
 
-def nullspace(a: np.ndarray, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> list[np.ndarray]:
-    """Basis of the right nullspace, as a list of vectors.
+def nullspace(a: np.ndarray, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> np.ndarray:
+    """Basis of the right nullspace: independent rows of one (k, cols) array
+    in the mode of a.
 
-    Rational mode parameterizes the free columns of the RREF, which gives a
-    canonical basis with unit entries in the free positions; the entries are
-    read from the integer reduction and divided by its last pivot.  Float
-    mode takes the right singular vectors whose singular values fall below
-    rank_tol * sigma_max.  Only a wide matrix needs the full V (its nullspace
-    lies past the last singular value); a tall one takes the reduced SVD,
-    whose V equals the full one, and never builds the rows x rows U.
+    Rational mode parameterizes the free columns of the RREF, a canonical
+    basis with unit entries in the free positions, built in one piece from
+    the integer reduction: top on the free columns and the negated pivot
+    rows on the pivots, divided by top once.  Float mode takes the right
+    singular vectors whose singular values fall below rank_tol * sigma_max.
+    Only a wide matrix needs the full V (its nullspace lies past the last
+    singular value); a tall one takes the reduced SVD, whose V equals the
+    full one, and never builds the rows x rows U.
     """
     rows, cols = a.shape
     if mode_of(a) == RATIONAL:
         red, top, pivots = rref(numerators(a)[0])
-        basis = []
-        for f in (c for c in range(cols) if c not in pivots):
-            v = zeros((cols,), RATIONAL)
-            v[f] = Fraction(1)
-            for r_idx, p in enumerate(pivots):
-                v[p] = Fraction(-red[r_idx, f], top)
-            basis.append(v)
-        return basis
+        free = [c for c in range(cols) if c not in pivots]
+        n = np.zeros((len(free), cols), dtype=object)
+        n[:, free] = np.eye(len(free), dtype=object) * top
+        n[:, pivots] = -red[:len(pivots), free].T
+        return rescale(n, top)
     if rows == 0:
-        return [np.eye(cols)[i] for i in range(cols)]
+        return np.eye(cols)
     _, s, vh = np.linalg.svd(a, full_matrices=rows < cols)
     smax = s[0] if s.size else 0.0
-    keep = [i for i in range(cols) if i >= s.size or s[i] <= tol.rank_tol * smax]
-    return [vh[i].copy() for i in keep]
+    return vh[[i for i in range(cols) if i >= s.size or s[i] <= tol.rank_tol * smax]]
 
 
-def span_basis(vectors, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> list[np.ndarray]:
-    """Greedy maximal independent subset, keeping input order.
+def span_basis(vectors, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> list[int]:
+    """Indices of a greedy maximal independent subset of the rows, in order.
 
-    A vector is kept when coordinates_in_span puts it outside the span of
-    the vectors kept before it.  Exact vectors take one reduction of their
-    stack as columns instead: a column is a pivot exactly when its vector is
-    outside the span of the ones before it, which is the same greedy choice.
+    A row is kept when coordinates_in_span puts it outside the span of the
+    rows kept before it.  Exact rows take one reduction of their stack as
+    columns instead: a column is a pivot exactly when its row is outside the
+    span of the ones before it, which is the same greedy choice.
     """
-    vectors = list(vectors)
-    if vectors and mode_of(vectors[0]) == RATIONAL:
-        stack = numerators(np.array(vectors, dtype=object))[0]
-        return [vectors[c] for c in rref(stack.T)[2]]
-    kept: list[np.ndarray] = []
-    for v in vectors:
-        if coordinates_in_span(kept, v, tol) is None:
-            kept.append(v)
+    stack = np.asarray(vectors)
+    if mode_of(stack) == RATIONAL:
+        return rref(numerators(stack)[0].T)[2]
+    kept: list[int] = []
+    for i, v in enumerate(stack):
+        if coordinates_in_span(stack[kept], v, tol) is None:
+            kept.append(i)
     return kept
 
 

@@ -49,7 +49,6 @@ class CenterMismatchError(ValueError):
 class SubgroupSearchConfig:
     epsilon: float = 1e-6
     coefficient_bound: int = 10 ** 6
-    mode: str = FLOAT
 
 
 @dataclass(frozen=True)
@@ -110,20 +109,11 @@ def integer_row_hnf(rows: list[list[int]]) -> list[list[int]]:
     return [r for r in work[:row]]
 
 
-def _exact_subgroup(generators, config: SubgroupSearchConfig) -> KernelLattice:
-    gens = [np.asarray(g, dtype=object) for g in generators]
-    d = gens[0].shape[0]
-    denom = 1
-    for g in gens:
-        for x in g:
-            denom = denom * x.denominator // math.gcd(denom, x.denominator)
-    int_rows = [[int(x * denom) for x in g] for g in gens]
-    basis = integer_row_hnf(int_rows)
-    out = []
-    for r in basis:
-        out.append(np.array([Fraction(a, denom) for a in r], dtype=object))
+def _exact_subgroup(generators) -> KernelLattice:
+    num, denom = nx.numerators(np.array(generators, dtype=object))
+    basis = nx.rescale(np.array(integer_row_hnf(num.tolist()), dtype=object), denom)
     # rational generators always span a lattice: rank <= d, zero isolated
-    return KernelLattice(d, tuple(out), DISCRETE,
+    return KernelLattice(num.shape[1], tuple(basis), DISCRETE,
                          meta={"route": "integer_row_reduction",
                                "caveat": FINITE_DIMENSION_CAVEAT})
 
@@ -300,26 +290,22 @@ def subgroup_discreteness(generators, config: SubgroupSearchConfig = SubgroupSea
                           ) -> KernelLattice:
     """Decide discreteness of the subgroup generated by the given vectors.
 
-    Exact mode (rational generators) always decides: the answer is a lattice
-    basis.  Float mode searches integer combinations with coefficients up to
-    the configured bound; see the module docstring for the three verdicts.
+    Exact (Fraction) generators always decide: the answer is a lattice
+    basis.  Any other dtype goes to the float search of integer combinations
+    up to the configured bound; see the module docstring for the verdicts.
     """
     gens = list(generators)
     if not gens:
         return KernelLattice(0, (), DISCRETE, meta={"caveat": FINITE_DIMENSION_CAVEAT})
     arrs = [np.asarray(g) for g in gens]
+    exact = all(nx.mode_of(g) == RATIONAL for g in arrs)
     nonzero = [g for g in arrs if (g != 0).any()]
-    if config.mode == RATIONAL:
-        if not nonzero:
-            return KernelLattice(arrs[0].shape[0], (), DISCRETE,
-                                 meta={"route": "integer_row_reduction",
-                                       "caveat": FINITE_DIMENSION_CAVEAT})
-        return _exact_subgroup(nonzero, config)
     if not nonzero:
         return KernelLattice(arrs[0].shape[0], (), DISCRETE,
-                             meta={"route": "integer_relation_search",
+                             meta={"route": "integer_row_reduction" if exact
+                                   else "integer_relation_search",
                                    "caveat": FINITE_DIMENSION_CAVEAT})
-    return _float_subgroup(nonzero, config)
+    return _exact_subgroup(nonzero) if exact else _float_subgroup(nonzero, config)
 
 
 # --------------------------------------------------------- quotient criterion
@@ -337,22 +323,22 @@ def quotient_projection_discreteness(generators, ideal_basis,
     gens = [np.asarray(g) for g in generators]
     d = gens[0].shape[0]
     ideal = [np.asarray(v) for v in ideal_basis]
-    if config.mode == RATIONAL:
+    if all(nx.mode_of(g) == RATIONAL for g in gens):
         imat = np.array(ideal, dtype=object)
         comp = nx.nullspace(imat)  # orthogonal complement, rational
-        basis = np.array(list(comp) + list(ideal), dtype=object)
+        basis = np.concatenate([comp, imat])
         # comp and ideal together span the whole space: every generator is inside
         coords, _ = nx.coordinates_in_span_many(basis, gens)
         proj = list(coords[:, :len(comp)])
-        result = subgroup_discreteness(proj, config)
     else:
         imat = np.array([nx.to_float(np.asarray(v)) for v in ideal], dtype=float)
-        comp_rows = np.array(nx.nullspace(imat), dtype=float)  # orthonormal
+        comp_rows = nx.nullspace(imat)  # orthonormal
         proj = [comp_rows @ nx.to_float(g) for g in gens]
-        result = subgroup_discreteness(proj, config)
+    result = subgroup_discreteness(proj, config)
     meta = dict(result.meta)
     meta["projected_dim"] = len(proj[0]) if proj else 0
-    if result.witness is not None and config.mode == FLOAT:
+    # only the float search finds witnesses
+    if result.witness is not None:
         x = np.zeros(d)
         for c, g in zip(result.witness.coefficients, gens):
             x = x + c * nx.to_float(g)
@@ -482,8 +468,7 @@ def default_central_direction(pair) -> np.ndarray:
     if z.dim != 1:
         raise CenterMismatchError(
             f"center has dimension {z.dim}; pass an explicit direction")
-    mb = np.array([nx.to_float(v) for v in minus.basis])
-    full = mb.T @ nx.to_float(z.basis[0])  # center coords live in the minus basis
+    full = minus.basis.T @ z.basis[0]  # center coords live in the minus basis
     mat = sp.tangent_from_coords(pair, full)
     mat = mat / nx.frobenius(mat)
     lead = next(x for x in mat.reshape(-1) if abs(x) > 1e-12)

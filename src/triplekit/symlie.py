@@ -12,13 +12,12 @@ symmetric Lie algebra built from its bracket operators.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
 from triplekit import numerics as nx
 from triplekit import lts as lt
-from triplekit.numerics import DEFAULT_TOLERANCE, FLOAT, RATIONAL, TolerancePolicy
+from triplekit.numerics import DEFAULT_TOLERANCE, FLOAT, TolerancePolicy
 from triplekit.lts import AxiomReport, LieTripleSystem, LtsMorphism, Subspace
 
 
@@ -136,8 +135,8 @@ def eigensplit(sla: SymmetricLieAlgebra, tol: TolerancePolicy = DEFAULT_TOLERANC
     """Eigenspaces of theta; also checks that the +1 part is a subalgebra."""
     g = sla.algebra
     eye = nx.identity(g.dim, g.mode)
-    plus = lt.subspace_from_vectors(g.dim, nx.nullspace(sla.theta - eye, tol), g.mode, tol)
-    minus = lt.subspace_from_vectors(g.dim, nx.nullspace(sla.theta + eye, tol), g.mode, tol)
+    plus = Subspace(nx.nullspace(sla.theta - eye, tol))
+    minus = Subspace(nx.nullspace(sla.theta + eye, tol))
     if plus.dim + minus.dim != g.dim:
         raise InvolutionDefectError("eigenspaces of theta do not span")
     brackets = nx.contract(plus.basis, g.tensor, axes=([1], [0]))   # [u,j,k]
@@ -158,8 +157,7 @@ def triple_from_involution(g: LieAlgebra, theta: np.ndarray,
     """
     if not nx.negligible(_square_defect(theta), tol):
         raise InvolutionDefectError("theta squared is not the identity")
-    minus = lt.subspace_from_vectors(
-        g.dim, nx.nullspace(theta + nx.identity(g.dim, g.mode), tol), g.mode, tol)
+    minus = Subspace(nx.nullspace(theta + nx.identity(g.dim, g.mode), tol))
     d = minus.dim
     b, sb = nx.numerators(minus.basis)
     c, sc = nx.numerators(g.tensor)
@@ -189,8 +187,7 @@ def g_plus(g: LieAlgebra, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> LieTriple
     the result is every x whose commutators land in the center of g; in
     particular it contains the embedded center of g, which is verified here.
     """
-    quarter = Fraction(1, 4) if g.mode == RATIONAL else 0.25
-    tensor = nx.contract(g.tensor, g.tensor, axes=([2], [0])) * quarter
+    tensor = nx.contract(g.tensor, g.tensor, axes=([2], [0])) / 4  # exact in both modes
     system = LieTripleSystem(g.dim, tensor, g.mode, g.labels)
     zg = lie_center(g, tol)
     zsys = lt.center(system, tol)
@@ -203,7 +200,7 @@ def lie_center(g: LieAlgebra, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> Subsp
     """Joint kernel of the adjoint maps."""
     d = g.dim
     stacked = g.tensor.transpose(1, 2, 0).reshape(d * d, d)
-    return lt.subspace_from_vectors(d, nx.nullspace(stacked, tol), g.mode, tol)
+    return Subspace(nx.nullspace(stacked, tol))
 
 
 def symmetric_center(sla: SymmetricLieAlgebra,
@@ -255,7 +252,7 @@ def standard_embedding(m: LieTripleSystem,
     ops = nx.span_basis(brackets, tol)
     h = len(ops)
     n = h + d
-    stack = np.array(ops, dtype=m.tensor.dtype).reshape(h, d, d)
+    stack = brackets[ops].reshape(h, d, d)
     comms = nx.commutators(stack, stack).reshape(h * h, d * d)
     coords, inside = nx.coordinates_in_span_many(stack.reshape(h, d * d),
                                                  np.concatenate([comms, brackets]), tol)
@@ -289,7 +286,6 @@ def standard_embedding(m: LieTripleSystem,
     z_m = lt.center(m, tol)
     embedded = nx.zeros((z_m.dim, n), m.mode)
     embedded[:, h:] = z_m.basis
-    z_embedded = lt.subspace_from_vectors(n, embedded, m.mode, tol)
-    if not z_ambient.equals(z_embedded, tol):
+    if not z_ambient.equals(Subspace(embedded), tol):
         raise AxiomDefectError("ambient center differs from the embedded center")
     return StandardEmbedding(m, symmetric, h, tuple(stack), embedding)

@@ -347,13 +347,10 @@ def central_odd_check(pair: MatrixSymmetricPair, x: np.ndarray,
     """
     check_odd_tangent(pair, x, tol)
     system, minus = minus_triple(pair, FLOAT)
-    coords = nx.coordinates_in_span([nx.to_float(v) for v in minus.basis],
-                                    tangent_to_coords(pair, x, tol), tol)
+    coords = nx.coordinates_in_span(minus.basis, tangent_to_coords(pair, x, tol), tol)
     if coords is None:
         raise PairInputError("vector is odd but escaped the odd coordinate span")
-    z = lt.center(system, tol)
-    zf = [nx.to_float(v) for v in z.basis]
-    if nx.coordinates_in_span(zf, np.asarray(coords, dtype=float), tol) is None:
+    if nx.coordinates_in_span(lt.center(system, tol).basis, coords, tol) is None:
         raise PairInputError("direction is not central in the derived triple system")
 
 

@@ -975,7 +975,7 @@ def standard_embedding_old(m, tol=None):
     z_m = lt.center(m, tol)
     embedded = nx.zeros((z_m.dim, n), m.mode)
     embedded[:, h:] = z_m.basis
-    z_embedded = lt.subspace_from_vectors(n, embedded, m.mode, tol)
+    z_embedded = lt.subspace_from_vectors(embedded, tol)
     if not z_ambient.equals(z_embedded, tol):
         raise AxiomDefectError("ambient center differs from the embedded center")
 
@@ -984,3 +984,38 @@ def standard_embedding_old(m, tol=None):
     if not embedding.certified:
         raise AxiomDefectError("embedding morphism failed certification")
     return StandardEmbedding(m, symmetric, h, tuple(ops), embedding)
+
+
+# ------------------------------------------- quotient complement in two passes
+# lts.quotient as it ran before one greedy pass over [ideal rows; I] chose
+# both parts: one pass reduced the ideal's rows, a second extended them by
+# the standard basis and kept the unit vectors it took as the complement.
+# Kept verbatim (names aside; span_basis then returned the vectors it kept)
+# so that the one pass can be held to the same tensor and projection.
+
+def quotient_old(m, ideal, tol=None):
+    from triplekit import lts as lt
+    from triplekit import numerics as nx
+    tol = tol or nx.DEFAULT_TOLERANCE
+
+    def greedy(vectors):
+        return [vectors[i] for i in nx.span_basis(vectors, tol)]
+
+    if not lt.is_ideal(m, ideal, tol):
+        raise lt.NotAnIdealError("subspace is not an ideal")
+    d = m.dim
+    ideal_rows = greedy(list(ideal.basis))
+    eye = nx.identity(d, m.mode)
+    extended = greedy(ideal_rows + [eye[i] for i in range(d)])
+    complement = extended[len(ideal_rows):]
+    q = len(complement)
+    b = np.array(list(complement) + ideal_rows, dtype=m.tensor.dtype)
+    proj = nx.inverse(b.T)[:q]
+    comp = b[:q]
+    t = nx.contract(comp, m.tensor, axes=([1], [0]))
+    t = nx.contract(t, comp, axes=([1], [1])).transpose(0, 3, 1, 2)
+    t = nx.contract(t, comp, axes=([2], [1])).transpose(0, 1, 3, 2)
+    tensor = nx.contract(t, proj, axes=([3], [1]))
+    labels = tuple(f"q{idx}" for idx in range(q)) if m.labels else None
+    qsys = lt.LieTripleSystem(q, tensor, m.mode, labels)
+    return qsys, lt.certify_morphism(lt.LtsMorphism(m, qsys, proj), tol)

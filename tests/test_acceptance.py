@@ -203,8 +203,7 @@ def test_criterion_08_sqrt2_projection_witness_under_ten_seconds():
     assert max(abs(c) for c in w.coefficients) <= 10 ** 6
     control = pd.subgroup_discreteness(
         [np.array([Fraction(1), Fraction(2)], dtype=object),
-         np.array([Fraction(1), Fraction(0)], dtype=object)],
-        pd.SubgroupSearchConfig(mode=RATIONAL))
+         np.array([Fraction(1), Fraction(0)], dtype=object)])
     assert control.verdict == pd.DISCRETE
     dt = time.monotonic() - t0
     assert dt < 10.0

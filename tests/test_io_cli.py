@@ -526,3 +526,76 @@ def test_console_entry_point_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "u2_mod_o2" in proc.stdout
+
+
+# ------------------------------------------------------- one value decoder
+
+def _valid_doc(kind: str, mode: str) -> dict:
+    exact = mode == nx.RATIONAL
+    if kind == "lts":
+        m = fx.sphere_lts(2)
+        return jsonio.lts_to_dict(m if exact else m.to_float())
+    if kind == "symmetric_lie":
+        sla = fx.so_symmetric_algebra(2)
+        if not exact:
+            sla = sl.SymmetricLieAlgebra(sla.algebra.to_float(), nx.to_float(sla.theta))
+        return jsonio.symmetric_to_dict(sla)
+    return jsonio.pair_to_dict(fx.sphere_pair(2)) if exact else _so3_float_pair_doc()
+
+
+def _set_first_one(doc: dict, field: str, value) -> None:
+    """Replace the first value 1 ("1" or 1.0) of one field of a document."""
+    if field == "bracket":
+        next(e for e in doc["bracket"] if e[-1] in ("1", 1.0))[-1] = value
+        return
+    rows = doc["sigma"]["conjugation_by"] if field == "sigma" else doc[field]
+    flat = [(row, j) for matrix in (rows if field == "basis" else [rows])
+            for row in matrix for j in range(len(row))]
+    row, j = next((row, j) for row, j in flat if row[j] in ("1", 1.0))
+    row[j] = value
+
+
+@pytest.mark.parametrize("kind,mode,field,value", [
+    ("lts", "rational", "bracket", 1.0),
+    ("lts", "rational", "bracket", True),
+    ("lts", "rational", "bracket", "1/0"),
+    ("lts", "float", "bracket", "1.0"),
+    ("lts", "float", "bracket", True),
+    ("symmetric_lie", "rational", "theta", 1.0),
+    ("symmetric_lie", "float", "theta", "1"),
+    ("symmetric_lie", "float", "theta", True),
+    ("pair", "rational", "sigma", 1.0),
+    ("pair", "float", "basis", "1.0"),
+])
+def test_value_outside_the_decoding_rule_exits_2(tmp_path, capsys, kind, mode, field, value):
+    # one rule for every field: an exact value is a fraction string or a JSON
+    # integer, a float value a JSON number; bools are neither
+    doc = _valid_doc(kind, mode)
+    _set_first_one(doc, field, 1)        # a JSON integer is a value in both modes
+    assert main(["check", _write_json(tmp_path, doc, "good.json")]) == 0
+    capsys.readouterr()
+    _set_first_one(doc, field, value)
+    assert main(["check", _write_json(tmp_path, doc), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"is not a {mode} value" in captured.err
+
+
+@pytest.mark.parametrize("name,ideal,message", [
+    ("lts_sphere3", {}, "no 'vectors' key"),
+    ("lts_sphere3", [["1", "0", "0"]], "expected an object holding 'vectors'"),
+    ("lts_sphere3", {"vectors": [[1, 0]]}, "ideal vectors need 3 entries each"),
+    ("lts_sphere3", {"vectors": [["1", "0", "0"], ["0"]]}, "rows of one length"),
+    ("lts_u2_minus", {"vectors": [[1.0, 1.0, 0]]}, "1.0 is not a rational value"),
+])
+def test_bad_ideal_file_exits_2(gallery_dir, tmp_path, capsys, name, ideal, message):
+    path = _write_json(tmp_path, ideal, "ideal.json")
+    assert main(["quotient", str(gallery_dir / f"{name}.json"), "--ideal", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
+def test_ideal_file_with_integers_and_dependent_rows(gallery_dir, tmp_path, capsys):
+    path = _write_json(tmp_path, {"vectors": [[1, 1, 0], ["2", "2", "0"]]}, "ideal.json")
+    assert main(["quotient", str(gallery_dir / "lts_u2_minus.json"), "--ideal", path]) == 0
+    out = capsys.readouterr().out
+    assert "ideal_dim: 1" in out and "quotient_dim: 2" in out

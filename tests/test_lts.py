@@ -142,15 +142,14 @@ def test_float_center_memory_u4_minus():
     assert peak < 2 ** 20
 
 def test_subspace_of_negligible_vectors_is_zero():
-    exact = lt.subspace_from_vectors(3, [nx.zeros((3,), nx.RATIONAL)], nx.RATIONAL)
-    noise = lt.subspace_from_vectors(3, [np.full(3, 1e-16)], nx.FLOAT)
+    exact = lt.subspace_from_vectors(nx.zeros((1, 3), nx.RATIONAL))
+    noise = lt.subspace_from_vectors(np.full((1, 3), 1e-16))
     assert exact.basis.shape == noise.basis.shape == (0, 3)
 
 
 def test_subsystem_not_ideal_in_sphere():
     m = fx.sphere_lts(3)
-    sub = lt.subspace_from_vectors(3, [nx.rational_array([1, 0, 0]),
-                                       nx.rational_array([0, 1, 0])], nx.RATIONAL)
+    sub = lt.subspace_from_vectors(nx.rational_array([[1, 0, 0], [0, 1, 0]]))
     assert lt.is_subsystem(m, sub)
     # bracket(e1, e3, e1) = -e3 escapes span{e1, e2}
     assert not lt.is_ideal(m, sub)
@@ -182,8 +181,7 @@ def test_quotient_by_center():
 
 def test_quotient_rejects_non_ideal():
     m = fx.sphere_lts(3)
-    sub = lt.subspace_from_vectors(3, [nx.rational_array([1, 0, 0]),
-                                       nx.rational_array([0, 1, 0])], nx.RATIONAL)
+    sub = lt.subspace_from_vectors(nx.rational_array([[1, 0, 0], [0, 1, 0]]))
     with pytest.raises(lt.NotAnIdealError):
         lt.quotient(m, sub)
 

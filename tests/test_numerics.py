@@ -66,9 +66,7 @@ def test_span_basis_greedy_order():
           nx.rational_array([0, 1, 0]),
           nx.rational_array([1, 1, 0])]
     for vectors in (vs, [nx.to_float(v) for v in vs]):
-        kept = nx.span_basis(vectors)
-        assert len(kept) == 2
-        assert kept[0] is vectors[0] and kept[1] is vectors[2]
+        assert nx.span_basis(vectors) == [0, 2]
     eye = list(nx.identity(3, nx.FLOAT))
     assert len(nx.span_basis(eye + [np.ones(3)])) == 3
 
@@ -80,7 +78,7 @@ def test_empty_basis_membership():
     exact = [nx.zeros((3,), nx.RATIONAL), nx.rational_array(["0", "1/10000000000", "0"])]
     coords, inside = nx.coordinates_in_span_many([], exact)
     assert coords.shape == (2, 0) and inside.tolist() == [True, False]
-    assert nx.span_basis([np.full(3, 1e-16), np.full(3, 1e-3)])[0][0] == 1e-3
+    assert nx.span_basis([np.full(3, 1e-16), np.full(3, 1e-3)]) == [1]
 
 
 def test_coordinates_in_span():

@@ -13,7 +13,6 @@ from oracles import (best_sqrt2_relation, float_subgroup_loops, gram_schmidt_nor
                      search_outcome)
 
 CFG = pd.SubgroupSearchConfig(epsilon=1e-6, coefficient_bound=10 ** 6)
-CFG_EXACT = pd.SubgroupSearchConfig(mode="rational")
 
 
 def _frac(*xs):
@@ -194,14 +193,14 @@ def test_integer_row_hnf_canonical():
 
 
 def test_rational_generators_always_discrete():
-    lat = pd.subgroup_discreteness([_frac(1, 2), _frac(1, 0)], CFG_EXACT)
+    lat = pd.subgroup_discreteness([_frac(1, 2), _frac(1, 0)])
     assert lat.verdict == pd.DISCRETE
     assert [list(map(str, b)) for b in lat.generators] == [["1", "0"], ["0", "2"]]
 
 
 def test_rational_slope_control_discrete():
     # slope 3/7 through the integer grid: projected subgroup is (1/7)-periodic
-    lat = pd.subgroup_discreteness([_frac("3/7"), _frac("1/2")], CFG_EXACT)
+    lat = pd.subgroup_discreteness([_frac("3/7"), _frac("1/2")])
     assert lat.verdict == pd.DISCRETE
     # 3/7 = 6/14, 1/2 = 7/14, gcd step 1/14
     assert [str(lat.generators[0][0])] == ["1/14"]
@@ -210,9 +209,25 @@ def test_rational_slope_control_discrete():
 def test_rational_generator_below_float_range_is_kept():
     # float(2^-1100) is 0.0, but the generator is not zero
     tiny = Fraction(1, 2 ** 1100)
-    lat = pd.subgroup_discreteness([_frac(3), _frac(tiny)], CFG_EXACT)
+    lat = pd.subgroup_discreteness([_frac(3), _frac(tiny)])
     assert lat.verdict == pd.DISCRETE
     assert [[abs(x) for x in g] for g in lat.generators] == [[tiny]]
+
+
+def test_route_follows_generator_dtype():
+    # Fraction generators take the exact route, float ones the search, and an
+    # all-zero set of either kind reports the route its dtype picks
+    for gens, route in (([_frac(1, 2), _frac(0, 3)], "integer_row_reduction"),
+                        ([_frac(0, 0), _frac(0, 0)], "integer_row_reduction"),
+                        ([np.array([1.0, 2.0]), np.array([0.0, 3.0])], "integer_relation_search"),
+                        ([np.zeros(2), np.zeros(2)], "integer_relation_search")):
+        lat = pd.subgroup_discreteness(gens, CFG)
+        assert lat.verdict == pd.DISCRETE and lat.meta["route"] == route
+    exact = pd.quotient_projection_discreteness([_frac(1, 0), _frac(0, 1)], [_frac(1, 2)], CFG)
+    assert exact.meta["route"] == "integer_row_reduction"
+    floats = pd.quotient_projection_discreteness([np.array([1.0, 0.0]), np.array([0.0, 1.0])],
+                                                 [np.array([1.0, 2.0])], CFG)
+    assert floats.meta["route"] == "integer_relation_search"
 
 
 def test_empty_and_zero_generators_discrete():
@@ -386,7 +401,7 @@ def test_quotient_projection_exact_frozen():
     # e1, e2 are -2/5 and 1/5 by hand, so the projected subgroup is (1/5)Z
     gens = [_frac(1, 0), _frac(0, 1)]
     ideal = [_frac(1, 2)]
-    lat = pd.quotient_projection_discreteness(gens, ideal, CFG_EXACT)
+    lat = pd.quotient_projection_discreteness(gens, ideal)
     assert lat.verdict == pd.DISCRETE
     assert [list(map(str, b)) for b in lat.generators] == [["1/5"]]
 

@@ -14,8 +14,8 @@ from triplekit import sympair as sp
 from triplekit.numerics import FLOAT, RATIONAL, TolerancePolicy
 
 from oracles import (coordinates_in_span_loops, embedding_tensor_loops, is_ideal_loops,
-                     is_subsystem_loops, plus_closure_loops, span_basis_old,
-                     standard_embedding_old)
+                     is_subsystem_loops, plus_closure_loops, quotient_old,
+                     span_basis_old, standard_embedding_old)
 
 SEED = 20240611
 LOOSE = TolerancePolicy(eq_tol=10.0)
@@ -30,13 +30,13 @@ def _outcome(fn, *args):
 
 
 def _float_subspace(sub: lt.Subspace) -> lt.Subspace:
-    return lt.Subspace(sub.parent_dim, nx.to_float(sub.basis), FLOAT)
+    return lt.Subspace(nx.to_float(sub.basis))
 
 
 def _exact_subspace(d: int, rows) -> lt.Subspace:
     """Subspace on the given rows as they are, dependent ones included."""
     basis = nx.rational_array(rows) if len(rows) else nx.zeros((0, d), RATIONAL)
-    return lt.Subspace(d, basis.reshape(len(rows), d), RATIONAL)
+    return lt.Subspace(basis.reshape(len(rows), d))
 
 
 def _assert_kernel_matches_loops(basis, targets, tol=nx.DEFAULT_TOLERANCE):
@@ -278,8 +278,8 @@ def test_float_span_basis_matches_old_code_on_bracket_operators():
     for label, m in _gallery_and_rebased():
         d = m.dim
         ops = list(nx.to_float(m.tensor).transpose(0, 1, 3, 2).reshape(d * d, d * d))
-        got, want = nx.span_basis(ops), span_basis_old(ops)
-        assert [id(v) for v in got] == [id(v) for v in want], label
+        ids = [id(v) for v in ops]
+        assert nx.span_basis(ops) == [ids.index(id(v)) for v in span_basis_old(ops)], label
 
 
 # ------------------------------------------------------------------ error paths
@@ -308,7 +308,7 @@ def test_plus_eigenspace_not_a_subalgebra_raises():
     sla = sl.SymmetricLieAlgebra(_heisenberg_float(), np.diag([1.0, 1.0, -1.0]), LOOSE)
     want = (sl.InvolutionDefectError, "+1 eigenspace is not a subalgebra")
     assert _outcome(sl.eigensplit, sla) == want
-    split_plus = lt.Subspace(3, np.eye(3)[:2], FLOAT)
+    split_plus = lt.Subspace(np.eye(3)[:2])
     assert _outcome(plus_closure_loops, sla.algebra, split_plus) == want
 
 
@@ -349,3 +349,31 @@ def test_non_closed_matrix_bases_raise():
     swap = nx.rational_array([[0, 1], [1, 0]])
     with pytest.raises(sp.PairInputError, match="theta does not preserve the Lie algebra span"):
         sp.derived_symmetric_algebra(_conjugation_pair([_e(0, 1)], swap))
+
+
+# ------------------------------------------------------------------ quotients
+
+def _quotient_cases():
+    """Gallery systems, exact and float, with their centers, and ideals
+    given with dependent rows."""
+    cases = []
+    for name, m in sorted(fx.lts_gallery().items()):
+        for system in (m, m.to_float()):
+            cases.append((f"{name} {system.mode}", system, lt.center(system)))
+    m = fx.u_minus_lts(3)
+    z = lt.center(m).basis
+    cases.append(("u3_minus center, a multiple and zero", m,
+                  lt.Subspace(np.concatenate([z, z * Fraction(-2), z * 0]))))
+    rows = nx.rational_array([[1, 2, 0], [2, 4, 0], [0, 0, 1], [1, 2, 1]])
+    cases.append(("abelian3 dependent rows", fx.lts_gallery()["abelian3"], lt.Subspace(rows)))
+    return cases
+
+
+def test_quotient_matches_two_pass_oracle():
+    for label, m, ideal in _quotient_cases():
+        (got, gproj), (want, wproj) = lt.quotient(m, ideal), quotient_old(m, ideal)
+        assert got.tensor.shape == want.tensor.shape, label
+        assert (got.tensor == want.tensor).all(), label
+        assert gproj.matrix.shape == wproj.matrix.shape, label
+        assert (gproj.matrix == wproj.matrix).all(), label
+        assert got.labels == want.labels and gproj.certified == wproj.certified, label
