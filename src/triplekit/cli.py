@@ -296,7 +296,10 @@ def cmd_period(args) -> int:
               "caveat": lat.meta.get("caveat", "")}
     if lat.verdict == pd.DISCRETE:
         report["generator"] = float(lat.generators[0][0])
-        report["isolation_floor"] = lat.meta["isolation_floor"]
+        report["frequencies"] = lat.meta["frequencies"]
+        report["generator_residual"] = lat.meta["generator_residual"]
+    elif lat.verdict == pd.INCONCLUSIVE:
+        report["reason"] = lat.meta["reason"]
     _emit(report, args)
     return EXIT_OK
 
@@ -432,7 +435,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("period", help="kernel lattice of a central direction")
     p.add_argument("file", nargs="?")
     p.add_argument("--coords", help="tangent coordinates, comma separated")
-    p.add_argument("--t-max", type=float, default=8.0, dest="t_max")
+    p.add_argument("--t-max", type=float, default=8.0, dest="t_max",
+                   help="list the kernel points up to this t (the verdict "
+                        "does not depend on it)")
     p.add_argument("--subgroup", nargs="+",
                    help="decide discreteness of these vectors instead")
     p.add_argument("--epsilon", type=float, default=1e-6)

@@ -24,6 +24,11 @@ class FormatError(ValueError):
     """The document does not describe a known object."""
 
 
+# A pair document names the subgroup K of its cosets; the full sigma-fixed
+# group is the one sympair computes with.
+FULL_FIXED_GROUP = "full_fixed_group"
+
+
 def _enc(x, mode):
     return str(x) if mode == RATIONAL else float(x)
 
@@ -66,6 +71,14 @@ def _field(doc, key: str):
     if key not in doc:
         raise FormatError(f"document has no {key!r} key")
     return doc[key]
+
+
+def _int(doc, key: str) -> int:
+    """doc[key], which must be a JSON integer (a bool is not one)."""
+    value = _field(doc, key)
+    if type(value) is not int:
+        raise FormatError(f"{key!r} must be an integer, got {value!r}")
+    return value
 
 
 def _mode(value) -> str:
@@ -124,13 +137,13 @@ def pair_to_dict(pair: sp.MatrixSymmetricPair) -> dict:
         sigma = {"conjugation_by": _enc_matrix(pair.sigma.matrix, pair.mode)}
     return {"kind": "pair", "ambient_n": pair.ambient_n, "mode": pair.mode,
             "basis": [_enc_matrix(m, pair.mode) for m in pair.basis], "sigma": sigma,
-            "policy": pair.fixed_group_policy, "name": pair.name}
+            "policy": FULL_FIXED_GROUP, "name": pair.name}
 
 
 # --------------------------------------------------------------- from dicts
 
 def lts_from_dict(doc: dict) -> lt.LieTripleSystem:
-    d = int(_field(doc, "dim"))
+    d = _int(doc, "dim")
     mode = _mode(_field(doc, "mode"))
     entries = _field(doc, "bracket")
     dec = _decoder(mode)
@@ -150,7 +163,7 @@ def lts_from_dict(doc: dict) -> lt.LieTripleSystem:
 
 
 def lie_from_dict(doc: dict) -> sl.LieAlgebra:
-    d = int(_field(doc, "dim"))
+    d = _int(doc, "dim")
     mode = _mode(_field(doc, "mode"))
     entries = _field(doc, "bracket")
     dec = _decoder(mode)
@@ -183,12 +196,12 @@ def pair_from_dict(doc: dict) -> sp.MatrixSymmetricPair:
         sigma = sp.SigmaConjugation(_dec_matrix(sigma_doc["conjugation_by"], mode))
     else:
         raise FormatError("unknown sigma description")
-    n = int(_field(doc, "ambient_n"))
+    n = _int(doc, "ambient_n")
     basis = [_dec_matrix(m, mode) for m in _field(doc, "basis")]
-    return sp.MatrixSymmetricPair(
-        n, basis, sigma,
-        fixed_group_policy=doc.get("policy", sp.FULL_FIXED_GROUP),
-        name=doc.get("name", ""))
+    policy = doc.get("policy", FULL_FIXED_GROUP)
+    if policy != FULL_FIXED_GROUP:
+        raise FormatError(f"unknown policy {policy!r}; expected {FULL_FIXED_GROUP!r}")
+    return sp.MatrixSymmetricPair(n, basis, sigma, name=doc.get("name", ""))
 
 
 # ------------------------------------------------------------------ file API
@@ -225,7 +238,10 @@ def sniff_kind(doc: dict) -> str:
     if "theta" in doc and "algebra" in doc:
         return "symmetric_lie"
     if "bracket" in doc and doc.get("bracket") is not None:
-        arity = len(doc["bracket"][0]) if doc["bracket"] else None
+        if not isinstance(doc["bracket"], list):
+            raise FormatError("bracket must be a list of entries")
+        first = doc["bracket"][0] if doc["bracket"] else None
+        arity = len(first) if isinstance(first, list) else None
         if arity == 5 or (arity is None and "dim" in doc):
             return "lts"
         if arity == 4:

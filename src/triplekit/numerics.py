@@ -247,7 +247,8 @@ def commutators(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     nr, sr = numerators(right)
     lr = contract_numerators(nl, nr, ([2], [1]), terms=2).transpose(0, 2, 1, 3)
     rl = contract_numerators(nr, nl, ([2], [1]), terms=2).transpose(2, 0, 1, 3)
-    return rescale(lr - rl, sl * sr)
+    lr -= rl  # in place: a third array of the result's size would raise peak memory
+    return rescale(lr, sl * sr)
 
 
 def difference(a: np.ndarray, sa: int, b: np.ndarray, sb: int) -> tuple[np.ndarray, int]:
@@ -511,37 +512,6 @@ def matrix_exp(x: np.ndarray, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> np.nd
         live = np.flatnonzero(squarings > step)
         r[live] = r[live] @ r[live]
     return r if x.ndim == 3 else r[0]
-
-
-class LogBranchError(ValueError):
-    """Raised when the principal matrix logarithm is undefined or unstable."""
-
-
-def principal_log(a: np.ndarray, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> np.ndarray:
-    """Principal logarithm of a real matrix via eigendecomposition.
-
-    Fails when an eigenvalue sits on the closed negative real axis or the
-    matrix is too far from diagonalizable.  Adequate for the near-orthogonal
-    matrices this package feeds it; not a general-purpose logm.
-    """
-    if mode_of(a) == RATIONAL:
-        raise ModeError("principal_log requires float mode")
-    w, vec = np.linalg.eig(a)
-    scale = max(1.0, float(np.max(np.abs(w))))
-    for lam in w:
-        if lam.real <= 0 and abs(lam.imag) <= 1e-12 * scale:
-            raise LogBranchError(f"eigenvalue {lam} on the principal branch cut")
-    try:
-        vinv = np.linalg.inv(vec)
-    except np.linalg.LinAlgError as e:
-        raise LogBranchError("eigenvector matrix is singular") from e
-    recon = vec @ np.diag(w) @ vinv
-    if float(np.max(np.abs(recon - a))) > 1e-8 * max(1.0, float(np.max(np.abs(a)))):
-        raise LogBranchError("matrix is not reliably diagonalizable")
-    log_a = vec @ np.diag(np.log(w)) @ vinv
-    if float(np.max(np.abs(log_a.imag))) > 1e-8 * max(1.0, float(np.max(np.abs(log_a.real)))):
-        raise LogBranchError("logarithm has a non-real part")
-    return log_a.real
 
 
 def realify(re: np.ndarray, im: np.ndarray) -> np.ndarray:

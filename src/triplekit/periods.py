@@ -8,6 +8,11 @@ the group case) are kernels over the compact, non-simply-connected total
 spaces themselves, which is exactly what makes them useful as finite
 surrogates for the infinite-dimensional statements.
 
+The kernel along a central direction z is read off the spectrum of z.
+Every pair's K is its full sigma-fixed group and z is odd, so Exp(t z) is
+the base point exactly when exp(2 t z) = I: the lattice (pi / mu) Z for one
+frequency mu, checked by one matrix exponential, and never sampled.
+
 Discreteness of a finitely generated subgroup is decided on two routes.
 Exact rational generators always span a lattice, and integer row reduction
 certifies it.  Float generators go through an integer-relation search on a
@@ -232,7 +237,8 @@ def _float_subgroup(generators, config: SubgroupSearchConfig) -> KernelLattice:
     # generators, as integer coefficient vectors over the generators; the
     # offset vectors in [-w, w]^k come one per row in itertools.product order
     w = _enumeration_window(k)
-    combos = np.indices((2 * w + 1,) * k).reshape(k, -1).T - w
+    # int8 holds every offset (w <= 6) at an eighth of the memory at k = 8
+    combos = np.indices((2 * w + 1,) * k, dtype=np.int8).reshape(k, -1).T - np.int8(w)
     block = np.array([row[:k] for row in reduction.basis], dtype=object)
     coeffs = nx.contract_numerators(combos, block, 1)
     # block is unimodular, so distinct offsets give distinct coefficients and
@@ -352,32 +358,31 @@ def quotient_projection_discreteness(generators, ideal_basis,
 
 # ------------------------------------------------------------------ pairs, 1d
 
-# Matrices per stacked exponential in the kernel scan: the Pade temporaries
-# of a block stay near 150 KB at n = 12 instead of 2.4 MB for the whole grid.
-SCAN_BLOCK = 128
+# At most this many kernel points are listed, however large t_max is.
+ZEROS_LISTED = 1024
 
 
 def kernel_lattice_1d(pair, direction=None, t_max: float = 8.0,
-                      tol: TolerancePolicy = DEFAULT_TOLERANCE,
-                      grid: int = 2048) -> KernelLattice:
-    """Kernel of t -> Exp(t z) against the base point, z central.
+                      tol: TolerancePolicy = DEFAULT_TOLERANCE) -> KernelLattice:
+    """Kernel of t -> Exp(t z) against the base point, z central, read off
+    the spectrum of z.
 
-    Scans (0, t_max], refines every residual dip, and keeps refined zeros
-    that the fixed-group policy accepts.  The verdict is Discrete when the
-    smallest zero is isolated (the residual climbs well above the membership
-    tolerance between zeros), NonDiscreteWitness when the whole ray sits in
-    the kernel, and Inconclusive when no zero is found.
+    z is odd, so sigma(exp tz) = exp(-tz): exp(tz) lies in the full fixed
+    group exactly when exp(2tz) = I.  For a semisimple z with eigenvalues
+    +-i mu_k that is the set of t in (pi / mu_k) Z for every k.  One
+    distinct frequency mu gives the generator pi / mu.  Several go to
+    subgroup_discreteness, and a group h Z of frequencies gives pi / h.
+    One matrix_exp checks each candidate generator against the fixed group,
+    which refuses a z that is not semisimple.
 
-    The grid and the isolation probes are exponentiated as stacks of
-    SCAN_BLOCK matrices, and each ternary step evaluates its two interior
-    points in one stacked call; stacked values equal single-matrix ones bit
-    for bit (see nx.matrix_exp).  A ternary refinement stops once (lo, hi)
-    no longer changes: its step depends on (lo, hi) alone, so later steps
-    would repeat it.  Besides the verdict's numbers, meta reports the work
-    done: grid_points, dips_refined, dips_rejected (refined points that fail
-    the residual test, the t > 1e-9 floor or the fixed-group policy),
-    refine_iterations (ternary steps over all dips) and exp_evaluations
-    (matrices exponentiated here).
+    A negligible z has the whole ray in its kernel: NonDiscreteWitness.  A
+    real spectral part, a zero spectrum, frequencies without one generator
+    or a generator off the fixed group give Inconclusive, with meta["reason"].
+    The one threshold is membership_tol * max(1, |z|), on the spectrum, on
+    the spread within a frequency and on |z| itself.  meta reports the
+    frequencies, generator_residual, exp_evaluations (at most 2) and
+    zeros_in_range, the kernel points g, 2g, ... up to t_max (at most
+    ZEROS_LISTED of them); t_max bounds nothing else.
     """
     if direction is None:
         direction = default_central_direction(pair)
@@ -385,75 +390,49 @@ def kernel_lattice_1d(pair, direction=None, t_max: float = 8.0,
         sp.central_odd_check(pair, direction, tol)
     except sp.PairInputError as e:
         raise CenterMismatchError(str(e)) from e
-    dirf = np.asarray(direction, dtype=float)
-    work = {"grid_points": grid + 1, "dips_refined": 0, "dips_rejected": 0,
-            "refine_iterations": 0, "exp_evaluations": 0}
+    z = np.asarray(direction, dtype=float)
+    size = nx.frobenius(z)
+    thr = tol.membership_tol * max(1.0, size)
+    meta = {"t_max": t_max, "exp_evaluations": 0, "caveat": FINITE_DIMENSION_CAVEAT}
 
-    def exp_at(ts) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        work["exp_evaluations"] += ts.size
-        return nx.matrix_exp(ts[..., np.newaxis, np.newaxis] * dirf)
+    def exp_at(t: float) -> np.ndarray:
+        meta["exp_evaluations"] += 1
+        return nx.matrix_exp(t * z)
 
-    def residuals(ts) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        return np.concatenate([sp.fixed_group_residual(pair, exp_at(ts[i:i + SCAN_BLOCK]))
-                               for i in range(0, ts.size, SCAN_BLOCK)])
+    def inconclusive(reason: str, **numbers) -> KernelLattice:
+        return KernelLattice(1, (), INCONCLUSIVE, meta={**meta, "reason": reason, **numbers})
 
-    def residual(t: float) -> float:
-        return sp.fixed_group_residual(pair, exp_at(t))
-
-    def accepted(t: float) -> bool:
-        return sp.in_fixed_group(pair, exp_at(t), tol)
-
-    ts = np.linspace(0.0, t_max, grid + 1)
-    vals = residuals(ts)
-    if float(np.max(vals[1:])) <= tol.membership_tol:
-        witness_t = ts[1]
-        if accepted(float(witness_t)):
-            w = Witness((1,), np.array([witness_t]), float(witness_t))
-            return KernelLattice(1, (np.array([witness_t]),), NON_DISCRETE_WITNESS, w,
-                                 meta={"caveat": FINITE_DIMENSION_CAVEAT, **work})
-
-    zeros: list[float] = []
-    for i in range(1, grid):
-        if vals[i] <= vals[i - 1] and vals[i] <= vals[i + 1] and vals[i] < 0.5:
-            lo, hi = ts[i - 1], ts[i + 1]
-            for _ in range(200):
-                work["refine_iterations"] += 1
-                m1 = lo + (hi - lo) / 3.0
-                m2 = hi - (hi - lo) / 3.0
-                r1, r2 = residuals([m1, m2])
-                step = (lo, m2) if r1 <= r2 else (m1, hi)
-                if step == (lo, hi):
-                    break
-                lo, hi = step
-            t_star = 0.5 * (lo + hi)
-            work["dips_refined"] += 1
-            if residual(t_star) <= tol.membership_tol and t_star > 1e-9 and accepted(t_star):
-                if not zeros or abs(t_star - zeros[-1]) > 1e-6:
-                    zeros.append(t_star)
-            else:
-                work["dips_rejected"] += 1
-    if not zeros:
-        return KernelLattice(1, (), INCONCLUSIVE,
-                             meta={"reason": "no kernel point in range",
-                                   "t_max": t_max,
-                                   "caveat": FINITE_DIMENSION_CAVEAT, **work})
-    t0 = zeros[0]
-    mid = np.linspace(0.25 * t0, 0.75 * t0, 64)
-    isolation = float(np.min(residuals(mid)))
-    meta = {
-        "refined_residual": residual(t0),
-        "isolation_floor": isolation,
-        "zeros_in_range": zeros,
-        "t_max": t_max,
-        "policy": pair.fixed_group_policy,
-        "caveat": FINITE_DIMENSION_CAVEAT,
-        **work,
-    }
-    if isolation > 10.0 * tol.membership_tol:
-        return KernelLattice(1, (np.array([t0]),), DISCRETE, meta=meta)
-    return KernelLattice(1, (np.array([t0]),), INCONCLUSIVE, meta=meta)
+    # every t > 0 is a kernel point of a negligible ray; t = 1 stands for them
+    if size <= thr and sp.in_fixed_group(pair, exp_at(1.0), tol):
+        return KernelLattice(1, (np.array([1.0]),), NON_DISCRETE_WITNESS,
+                             Witness((1,), np.array([1.0]), 1.0), meta)
+    spectrum = np.linalg.eigvals(z)
+    real = float(np.max(np.abs(spectrum.real)))
+    if real > thr:
+        return inconclusive("real spectral part", real_part=real)
+    mus = np.sort(np.abs(spectrum.imag))
+    mus = mus[mus > thr]
+    if not mus.size:
+        return inconclusive("nilpotent")
+    # a new frequency starts where consecutive |mu| part by more than thr
+    splits = np.flatnonzero(np.diff(mus) > thr) + 1
+    meta["frequencies"] = [float(np.mean(c)) for c in np.split(mus, splits)]
+    if len(meta["frequencies"]) == 1:
+        h = meta["frequencies"][0]
+    else:
+        sub = subgroup_discreteness([np.array([m]) for m in meta["frequencies"]])
+        if sub.verdict != DISCRETE or len(sub.generators) != 1:
+            return inconclusive(f"frequency subgroup is {sub.verdict}",
+                                subgroup_verdict=sub.verdict, subgroup=sub.meta)
+        h = float(sub.generators[0][0])
+    g = math.pi / h
+    image = exp_at(g)
+    meta["generator_residual"] = sp.fixed_group_residual(pair, image)
+    if not sp.in_fixed_group(pair, image, tol):
+        return inconclusive("generator off the fixed group")
+    listed = int(min(t_max / g, ZEROS_LISTED))
+    meta["zeros_in_range"] = [k * g for k in range(1, listed + 1)]
+    return KernelLattice(1, (np.array([g]),), DISCRETE, meta=meta)
 
 
 def default_central_direction(pair) -> np.ndarray:

@@ -13,9 +13,8 @@ every point a symmetry of the space.  The exponential of the space is the
 group exponential of an odd tangent vector followed by the coset projection.
 Group elements and tangent matrices are always float.
 
-Kernel computations downstream treat the full fixed group as K by default;
-an identity-component heuristic can be switched on per pair, and is exactly
-that, a heuristic (component detection from finite data is not decidable).
+K is always the full sigma-fixed group: membership is the one residual test
+in_fixed_group, and kernel lattices downstream are computed against it.
 """
 
 from __future__ import annotations
@@ -28,9 +27,6 @@ from triplekit import numerics as nx
 from triplekit import lts as lt
 from triplekit import symlie as sl
 from triplekit.numerics import DEFAULT_TOLERANCE, FLOAT, RATIONAL, TolerancePolicy
-
-FULL_FIXED_GROUP = "full_fixed_group"
-IDENTITY_COMPONENT_HEURISTIC = "identity_component_heuristic"
 
 
 class PairInputError(ValueError):
@@ -89,15 +85,14 @@ class MatrixSymmetricPair:
 
     basis spans the Lie algebra in gl(ambient_n), as a (dim, n, n) stack in
     the pair's mode; a conjugation sigma holds J in the same mode.
-    float_basis is the float copy that tangent vectors, exponentials and the
-    kernel scan use, derived here from basis.  Derived algebras and triple
+    float_basis is the float copy that tangent vectors and exponentials
+    use, derived here from basis.  Derived algebras and triple
     systems are cached on the pair itself, per mode, so a pair made by
     dataclasses.replace derives from its own fields.
     """
     ambient_n: int
     basis: np.ndarray
     sigma: object
-    fixed_group_policy: str = FULL_FIXED_GROUP
     name: str = ""
     float_basis: np.ndarray = field(init=False, repr=False)
 
@@ -118,8 +113,6 @@ class MatrixSymmetricPair:
                 raise PairInputError("sigma matrix shape does not match ambient size")
             if nx.mode_of(self.sigma.matrix) != mode:
                 raise PairInputError("sigma matrix mode does not match the basis")
-        if self.fixed_group_policy not in (FULL_FIXED_GROUP, IDENTITY_COMPONENT_HEURISTIC):
-            raise PairInputError(f"unknown policy {self.fixed_group_policy!r}")
         object.__setattr__(self, "basis", stack)
         object.__setattr__(self, "float_basis", floats)
         # (kind, mode) -> derived object; an attribute, not a field, so
@@ -162,10 +155,10 @@ def _derive_sla(pair: MatrixSymmetricPair, mode: str) -> sl.SymmetricLieAlgebra:
         raise nx.ModeError("a float pair has no exact structure constants")
     stack = pair.basis if mode == RATIONAL else pair.float_basis
     d, nn = pair.dim, pair.ambient_n ** 2
-    comms = nx.commutators(stack, stack).reshape(d * d, nn)
-    images = theta_tangent(pair, stack).reshape(d, nn)
-    coords, inside = nx.coordinates_in_span_many(stack.reshape(d, nn),
-                                                 np.concatenate([comms, images]))
+    # one target array: the commutators live no longer than the concatenation
+    targets = np.concatenate([nx.commutators(stack, stack).reshape(d * d, nn),
+                              theta_tangent(pair, stack).reshape(d, nn)])
+    coords, inside = nx.coordinates_in_span_many(stack.reshape(d, nn), targets)
     if not inside[:d * d].all():
         raise PairInputError("basis is not closed under commutators")
     if not inside[d * d:].all():
@@ -187,10 +180,7 @@ def minus_triple(pair: MatrixSymmetricPair,
 
 
 def tangent_from_coords(pair: MatrixSymmetricPair, coords: np.ndarray) -> np.ndarray:
-    out = np.zeros((pair.ambient_n, pair.ambient_n))
-    for c, b in zip(coords, pair.float_basis):
-        out = out + float(c) * b
-    return out
+    return np.tensordot(np.asarray(coords, dtype=float), pair.float_basis, 1)
 
 
 def tangent_to_coords(pair: MatrixSymmetricPair, x: np.ndarray,
@@ -239,45 +229,7 @@ def fixed_group_residual(pair: MatrixSymmetricPair, g: np.ndarray):
 
 def in_fixed_group(pair: MatrixSymmetricPair, g: np.ndarray,
                    tol: TolerancePolicy = DEFAULT_TOLERANCE) -> bool:
-    if fixed_group_residual(pair, g) > tol.membership_tol:
-        return False
-    if pair.fixed_group_policy == IDENTITY_COMPONENT_HEURISTIC:
-        return _in_identity_component(pair, g, tol)
-    return True
-
-
-def _in_identity_component(pair: MatrixSymmetricPair, g: np.ndarray,
-                           tol: TolerancePolicy) -> bool:
-    """Heuristic: walk toward g by arcs inside the fixed group.
-
-    Tries the principal log of g directly, then retries after sliding g by
-    short arcs exp(-s b) for even basis directions b and steps s in multiples
-    of 0.1.  Accepts when some slid logarithm lands in the even part of the
-    algebra.  This is a heuristic; it can refuse elements of the component
-    that need longer walks.
-    """
-    sla = derived_symmetric_algebra(pair)
-    split = sl.eigensplit(sla)
-    plus_mats = [tangent_from_coords(pair, nx.to_float(v)) for v in split.plus.basis]
-    plus_flat = [m.reshape(-1) for m in plus_mats]
-
-    def log_lands_even(h: np.ndarray) -> bool:
-        try:
-            x = nx.principal_log(h, tol)
-        except nx.LogBranchError:
-            return False
-        if not plus_flat:
-            return float(np.max(np.abs(x))) <= tol.membership_tol
-        return nx.coordinates_in_span(plus_flat, x.reshape(-1), tol) is not None
-
-    if log_lands_even(g):
-        return True
-    for b in plus_mats:
-        for step in (0.1, 0.2, 0.3):
-            slid = nx.matrix_exp(-step * b) @ g
-            if log_lands_even(slid):
-                return True
-    return False
+    return fixed_group_residual(pair, g) <= tol.membership_tol
 
 
 def coset_eq(p: CosetPoint, q: CosetPoint,

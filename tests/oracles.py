@@ -477,18 +477,11 @@ def kernel_lattice_1d_loops(pair, direction=None, t_max=8.0, tol=None, grid=2048
         "isolation_floor": isolation,
         "zeros_in_range": zeros,
         "t_max": t_max,
-        "policy": pair.fixed_group_policy,
         "caveat": FINITE_DIMENSION_CAVEAT,
     }
     if isolation > 10.0 * tol.membership_tol:
         return KernelLattice(1, (np.array([t0]),), DISCRETE, meta=meta)
     return KernelLattice(1, (np.array([t0]),), INCONCLUSIVE, meta=meta)
-
-
-def kernel_outcome(lat, meta_keys):
-    """Verdict, generators, witness and the named meta entries, compared with ==."""
-    gens = tuple(np.asarray(g).tobytes() for g in lat.generators)
-    return (*search_outcome(lat, meta_keys), gens)
 
 
 # ------------------------------------------- span membership, one target at a time

@@ -1,4 +1,5 @@
 import json
+import math
 import shlex
 import subprocess
 import sys
@@ -57,7 +58,7 @@ def test_pair_round_trip_keeps_exact_shadow(tmp_path):
     back = jsonio.load(p)
     assert back.mode == "rational"
     assert back.ambient_n == pair.ambient_n
-    assert back.fixed_group_policy == pair.fixed_group_policy
+    assert jsonio.pair_to_dict(back)["policy"] == "full_fixed_group"
     sla = sp.derived_symmetric_algebra(back)
     assert sla.algebra.mode == "rational"
     ref = sp.derived_symmetric_algebra(pair)
@@ -228,6 +229,8 @@ def _bad_pair(case: str) -> dict:
         doc["ambient_n"] = 4
     elif case == "policy":
         doc["policy"] = "bogus"
+    elif case == "heuristic":
+        doc["policy"] = "identity_component_heuristic"
     elif case == "empty":
         doc["basis"] = []
     elif case == "sigma_size":
@@ -241,6 +244,7 @@ def _bad_pair(case: str) -> dict:
 @pytest.mark.parametrize("case,message", [
     ("shape", "basis matrix shape does not match ambient size"),
     ("policy", "unknown policy 'bogus'"),
+    ("heuristic", "unknown policy 'identity_component_heuristic'"),
     ("empty", "basis is empty"),
     ("sigma_size", "sigma matrix shape does not match ambient size"),
     ("nan", "basis has a non-finite entry"),
@@ -280,6 +284,23 @@ def test_missing_key_is_format_error(tmp_path, capsys, kind, key):
     assert main(["check", _write_json(tmp_path, doc), "--json"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and f"no {key!r} key" in captured.err
+
+
+def _null_ambient_pair() -> dict:
+    doc = _so3_float_pair_doc()
+    doc["ambient_n"] = None
+    return doc
+
+
+@pytest.mark.parametrize("doc,message", [
+    ({"kind": "lts", "dim": None, "mode": "float", "bracket": []}, "'dim' must be an integer"),
+    (_null_ambient_pair(), "'ambient_n' must be an integer"),
+    ({"bracket": 5, "dim": 2}, "bracket must be a list"),
+], ids=["lts_null_dim", "pair_null_ambient_n", "untagged_number_bracket"])
+def test_malformed_document_exits_2(tmp_path, capsys, doc, message):
+    assert main(["check", _write_json(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
 
 
 def test_lts_without_bracket_exits_2(tmp_path, capsys):
@@ -441,22 +462,33 @@ def test_period_pair_route_json(gallery_dir, capsys):
 
 @pytest.mark.parametrize("argv", [["--coords", "1,1,0,0"], ["--coords", "1,1,0,0", "--t-max", "2"],
                                   []])
-def test_period_pair_json_bytes_match_loop_scan(gallery_dir, capsys, argv):
-    # the scan's work counters stay in meta: the report is the one the
-    # one-matrix-at-a-time scan gives, byte for byte
+def test_period_pair_report_agrees_with_loop_scan(gallery_dir, capsys, argv):
+    # the verdict does not depend on --t-max: the one-matrix-at-a-time scan,
+    # run far enough to reach the first kernel point, finds the same one
     path = str(gallery_dir / "pair_u2_mod_o2.json")
     assert main(["period", path, *argv, "--json"]) == 0
-    got = capsys.readouterr().out
+    doc = json.loads(capsys.readouterr().out)
     args = cli._parser().parse_args(["period", path, *argv])
     pair = jsonio.load(path)
-    lat = kernel_lattice_1d_loops(pair, cli._direction(pair, args), t_max=args.t_max)
-    report = {"route": "pair", "verdict": lat.verdict,
-              "generators": [float(g[0]) for g in lat.generators],
-              "caveat": lat.meta["caveat"]}
-    if lat.verdict == "Discrete":
-        report["generator"] = float(lat.generators[0][0])
-        report["isolation_floor"] = lat.meta["isolation_floor"]
-    assert got == json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
+    lat = kernel_lattice_1d_loops(pair, cli._direction(pair, args), t_max=12.0)
+    assert set(doc) == {"route", "verdict", "generators", "caveat", "generator",
+                        "frequencies", "generator_residual"}
+    assert doc["verdict"] == lat.verdict == "Discrete"
+    assert doc["generators"] == [doc["generator"]]
+    assert abs(doc["generator"] - float(lat.generators[0][0])) < 1e-10
+    assert doc["generator"] == pytest.approx(math.pi / doc["frequencies"][0], abs=1e-12)
+    assert doc["generator_residual"] <= 1e-8
+
+
+def test_period_inconclusive_states_its_reason(tmp_path, capsys):
+    # GL(2) over O(2) along I: exp(t I) = e^t I never returns to O(2)
+    basis = [np.eye(2)[[i]].T @ np.eye(2)[[j]] for i in range(2) for j in range(2)]
+    doc = {"kind": "pair", "ambient_n": 2, "mode": "float", "name": "GL(2)/O(2)",
+           "basis": [b.tolist() for b in basis], "sigma": "transpose_inverse"}
+    path = _write_json(tmp_path, doc)
+    assert main(["period", path, "--coords", "1,0,0,1"]) == 0
+    out = capsys.readouterr().out
+    assert "verdict: Inconclusive\n" in out and "reason: real spectral part\n" in out
 
 def test_period_subgroup_route(capsys):
     rc = main(["period", "--subgroup", "1.0", "1.4142135623730951", "--json"])

@@ -121,18 +121,6 @@ def test_matrix_exp_rejects_rational():
         nx.matrix_exp(nx.identity(2, nx.RATIONAL))
 
 
-def test_principal_log_round_trip():
-    j = np.array([[0.0, -1.0], [1.0, 0.0]])
-    for t in (0.4, 1.2, 2.9):
-        x = nx.principal_log(rotation_matrix(t))
-        assert np.max(np.abs(x - t * j)) < 1e-9
-
-
-def test_principal_log_branch_cut():
-    with pytest.raises(nx.LogBranchError):
-        nx.principal_log(-np.eye(2))
-
-
 def test_realify_multiplicative():
     rng = np.random.default_rng(SEED)
     a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))

@@ -211,12 +211,11 @@ def _nan_basis():
 
 @pytest.mark.parametrize("changes,message", [
     (dict(ambient_n=4), "basis matrix shape does not match ambient size"),
-    (dict(fixed_group_policy="bogus"), "unknown policy"),
     (dict(basis=[]), "basis is empty"),
     (dict(sigma=sp.SigmaConjugation(np.eye(2))), "sigma matrix shape does not match"),
     (dict(basis=_nan_basis()), "basis has a non-finite entry"),
     (dict(sigma=sp.SigmaConjugation(nx.identity(3, RATIONAL))), "mode does not match"),
-], ids=["shape", "policy", "empty", "sigma_size", "nan", "sigma_mode"])
+], ids=["shape", "empty", "sigma_size", "nan", "sigma_mode"])
 def test_pair_construction_refuses_bad_input(changes, message):
     with pytest.raises(sp.PairInputError, match=message):
         sp.MatrixSymmetricPair(**_so3_float(**changes))

@@ -9,8 +9,7 @@ from triplekit import numerics as nx
 from triplekit import periods as pd
 from triplekit import sympair as sp
 from oracles import (best_sqrt2_relation, float_subgroup_loops, gram_schmidt_norms_loops,
-                     kernel_lattice_1d_loops, kernel_outcome, lll_reduce_loops,
-                     search_outcome)
+                     kernel_lattice_1d_loops, lll_reduce_loops, search_outcome)
 
 CFG = pd.SubgroupSearchConfig(epsilon=1e-6, coefficient_bound=10 ** 6)
 
@@ -27,7 +26,7 @@ def test_unitary_over_orthogonal_kernel_is_pi(n):
     lat = pd.kernel_lattice_1d(pair, fx.central_direction_u(n))
     assert lat.verdict == pd.DISCRETE
     assert abs(float(lat.generators[0][0]) - math.pi) < 1e-8
-    assert lat.meta["isolation_floor"] > 0.1
+    assert lat.meta["frequencies"] == pytest.approx([1.0], abs=1e-12)
 
 
 def test_group_double_kernel_is_two_pi():
@@ -61,11 +60,17 @@ def test_kernel_requires_central_direction():
         pd.kernel_lattice_1d(pair, bad)
 
 
-def test_kernel_out_of_range_is_inconclusive():
+def test_kernel_out_of_range_lists_no_zeros():
+    # t_max bounds the listed kernel points, not the verdict
     pair = fx.u_modulo_o_pair(2)
     lat = pd.kernel_lattice_1d(pair, fx.central_direction_u(2), t_max=2.0)
-    assert lat.verdict == pd.INCONCLUSIVE
-    assert lat.generators == ()
+    assert lat.verdict == pd.DISCRETE
+    assert abs(float(lat.generators[0][0]) - math.pi) < 1e-12
+    assert lat.meta["zeros_in_range"] == []
+    # however large t_max is, the list stays bounded
+    for t_max in (1e12, math.inf):
+        far = pd.kernel_lattice_1d(pair, fx.central_direction_u(2), t_max=t_max)
+        assert len(far.meta["zeros_in_range"]) == pd.ZEROS_LISTED
 
 
 def test_zero_direction_gives_continuous_kernel_witness():
@@ -77,30 +82,47 @@ def test_zero_direction_gives_continuous_kernel_witness():
     assert lat.witness is not None
 
 
-# ------------------------------------------- stacked scan vs the loop oracle
+# ------------------------------------------- spectral route vs the loop scan
 
-SCAN_META = ("grid_points", "dips_refined", "dips_rejected", "refine_iterations",
-             "exp_evaluations")
-
-
-def _assert_scan_matches_oracle(pair, direction, **kw):
-    """Same verdict, generators, witness and pre-existing meta as the loop scan."""
+def _assert_matches_loop_scan(pair, direction, **kw):
+    """Same verdict as the one-matrix-at-a-time scan, and a generator within
+    1e-10 of the scan's refined zero and within 1e-12 of pi / mu."""
     old = kernel_lattice_1d_loops(pair, direction, **kw)
-    new = pd.kernel_lattice_1d(pair, direction, **kw)
-    assert kernel_outcome(new, old.meta) == kernel_outcome(old, old.meta)
-    assert set(new.meta) == set(old.meta) | set(SCAN_META)
+    new = pd.kernel_lattice_1d(pair, direction)
+    assert new.verdict == old.verdict
+    assert len(new.generators) == len(old.generators)
+    if new.verdict == pd.DISCRETE:
+        g = float(new.generators[0][0])
+        assert abs(g - float(old.generators[0][0])) < 1e-10
+        [mu] = new.meta["frequencies"]
+        assert abs(g - math.pi / mu) < 1e-12
+        assert new.meta["generator_residual"] <= pd.DEFAULT_TOLERANCE.membership_tol
+    assert new.meta["exp_evaluations"] <= 2
     return new
 
 
 @pytest.mark.parametrize("name", sorted(fx.pair_gallery()))
 def test_kernel_scan_matches_oracle_on_fixtures(name):
+    # t_max = 12 puts the first kernel point of every fixture in the scan's range
     pair = fx.pair_gallery()[name]
     try:
-        _assert_scan_matches_oracle(pair, None)
+        _assert_matches_loop_scan(pair, None, t_max=12.0)
     except pd.CenterMismatchError:
         # the sphere pairs have no central line; the oracle must refuse too
         with pytest.raises(pd.CenterMismatchError):
             kernel_lattice_1d_loops(pair, None)
+
+
+@pytest.mark.parametrize("name,period", [("u2_group_double", 2 * math.sqrt(2) * math.pi),
+                                         ("u3_group_double", 2 * math.sqrt(3) * math.pi),
+                                         ("u4_mod_o4", 2 * math.sqrt(2) * math.pi)])
+def test_kernel_beyond_default_t_max_is_discrete(name, period):
+    # the scan at its default t_max = 8 found no kernel point on these
+    lat = pd.kernel_lattice_1d(fx.pair_gallery()[name])
+    assert lat.verdict == pd.DISCRETE
+    assert float(lat.generators[0][0]) == pytest.approx(period, abs=1e-12)
+    assert lat.meta["zeros_in_range"] == []
+    assert lat.meta["exp_evaluations"] == 1
 
 
 def _rotated_pair(rng, n, double):
@@ -121,7 +143,7 @@ def _rotated_pair(rng, n, double):
 def test_kernel_scan_matches_oracle_on_rotated_pairs(n, double):
     rng = np.random.default_rng([42, n, double])
     pair, direction = _rotated_pair(rng, n, double)
-    lat = _assert_scan_matches_oracle(pair, direction)
+    lat = _assert_matches_loop_scan(pair, direction)
     assert lat.verdict == pd.DISCRETE
 
 
@@ -141,45 +163,61 @@ def _transpose_inverse_pair(n):
 def test_kernel_scan_transpose_inverse_pair(n):
     # exp(t I) = e^t I never meets O(n) for t > 0: no kernel point
     pair = _transpose_inverse_pair(n)
-    lat = _assert_scan_matches_oracle(pair, np.eye(n))
+    lat = _assert_matches_loop_scan(pair, np.eye(n))
     assert lat.verdict == pd.INCONCLUSIVE
+    assert lat.meta["reason"] == "real spectral part"
+    assert lat.meta["real_part"] == pytest.approx(1.0)
+    assert lat.meta["exp_evaluations"] == 0
 
 
 def test_kernel_scan_matches_oracle_edge_cases():
+    # the zero ray and a ray below the threshold both lie in the kernel
     pair = fx.u_modulo_o_pair(2)
+    for z in (np.zeros((4, 4)), 1e-12 * fx.central_direction_u(2)):
+        lat = _assert_matches_loop_scan(pair, z)
+        assert lat.verdict == pd.NON_DISCRETE_WITNESS
+        t = float(lat.witness.vector[0])
+        assert sp.in_fixed_group(pair, nx.matrix_exp(t * z))
+        assert lat.meta["exp_evaluations"] == 1
+
+
+def test_kernel_nilpotent_direction_is_inconclusive():
+    # span{E12} with sigma = conjugation by diag(1, -1): E12 is odd and
+    # central, and exp(t E12) = I + t E12 never returns to the fixed group
+    e12 = np.array([[0.0, 1.0], [0.0, 0.0]])
+    pair = sp.MatrixSymmetricPair(2, [e12], sp.SigmaConjugation(np.diag([1.0, -1.0])))
+    lat = pd.kernel_lattice_1d(pair, e12)
+    assert (lat.verdict, lat.meta["reason"]) == (pd.INCONCLUSIVE, "nilpotent")
+    assert lat.generators == ()
+
+
+def test_kernel_several_frequencies_go_through_subgroup_search():
+    # U(2)/O(2) twice, along (i I, 2 i I): frequencies 1 and 2, kernel pi Z;
+    # the float search cannot certify the exact relation 2 * 1 - 2 = 0 yet
+    small = fx.u_modulo_o_pair(2)
+    zero = np.zeros((4, 4))
+    basis = [np.block([[b, zero], [zero, zero]]) for b in small.float_basis]
+    basis += [np.block([[zero, zero], [zero, b]]) for b in small.float_basis]
+    j = small.sigma.float_matrix
+    pair = sp.MatrixSymmetricPair(8, basis, sp.SigmaConjugation(np.block([[j, zero], [zero, j]])))
     z = fx.central_direction_u(2)
-    short = _assert_scan_matches_oracle(pair, z, t_max=2.0)     # below the first zero
-    assert short.verdict == pd.INCONCLUSIVE
-    zero = _assert_scan_matches_oracle(pair, np.zeros((4, 4)))
-    assert zero.verdict == pd.NON_DISCRETE_WITNESS
-    assert zero.meta["dips_refined"] == 0
-    coarse = _assert_scan_matches_oracle(pair, z, grid=300)    # grid not a block multiple
-    assert coarse.meta["grid_points"] == 301
-
-
-@pytest.mark.parametrize("n", [2, 3])
-def test_kernel_scan_matches_oracle_identity_component_heuristic(n):
-    import dataclasses
-    pair = dataclasses.replace(fx.u_modulo_o_pair(n),
-                               fixed_group_policy=sp.IDENTITY_COMPONENT_HEURISTIC)
-    lat = _assert_scan_matches_oracle(pair, fx.central_direction_u(n))
-    # -I at t = pi is a rotation in O(2) but lies off the identity component
-    # of O(3), so for n = 3 that dip is refined and rejected
-    assert lat.meta["dips_rejected"] == (n - 2)
-    assert float(lat.generators[0][0]) == pytest.approx(math.pi * (n - 1))
+    lat = pd.kernel_lattice_1d(pair, np.block([[z, zero], [zero, 2.0 * z]]))
+    assert lat.meta["frequencies"] == pytest.approx([1.0, 2.0], abs=1e-12)
+    assert lat.verdict == pd.INCONCLUSIVE
+    assert lat.meta["reason"] == "frequency subgroup is Inconclusive"
+    assert lat.meta["subgroup_verdict"] == pd.INCONCLUSIVE
+    assert lat.meta["subgroup"]["route"] == "integer_relation_search"
+    assert lat.meta["exp_evaluations"] == 0
 
 
 def test_kernel_scan_reports_its_work():
     lat = pd.kernel_lattice_1d(fx.u_modulo_o_pair(2), fx.central_direction_u(2))
     meta = lat.meta
-    assert meta["grid_points"] == 2049
-    assert meta["zeros_in_range"] == pytest.approx([math.pi, 2 * math.pi])
-    assert (meta["dips_refined"], meta["dips_rejected"]) == (2, 0)
-    # each refinement leaves its 200-step loop at the fixed point of (lo, hi)
-    assert 0 < meta["refine_iterations"] < 2 * 200
-    # grid, two points per ternary step, residual and policy at each refined
-    # point, 64 isolation probes and the reported refined residual
-    assert meta["exp_evaluations"] == 2049 + 2 * meta["refine_iterations"] + 2 * 2 + 64 + 1
+    assert meta["zeros_in_range"] == pytest.approx([math.pi, 2 * math.pi], abs=1e-12)
+    assert meta["frequencies"] == pytest.approx([1.0], abs=1e-12)
+    assert meta["generator_residual"] < 1e-12
+    # one exponential: the cross-check of the generator
+    assert meta["exp_evaluations"] == 1
 
 
 # ------------------------------------------------------------ exact lattices

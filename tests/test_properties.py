@@ -294,11 +294,8 @@ def documents(draw):
             j = np.diag(signs)[draw(st.permutations(range(n)))]
             sigma = sp.SigmaConjugation(nx.rational_array(j.tolist()) if exact
                                         else j.astype(float))
-        obj = sp.MatrixSymmetricPair(
-            n, list(array((d, n, n))), sigma,
-            fixed_group_policy=draw(st.sampled_from([sp.FULL_FIXED_GROUP,
-                                                     sp.IDENTITY_COMPONENT_HEURISTIC])),
-            name=draw(st.text(max_size=6)))
+        obj = sp.MatrixSymmetricPair(n, list(array((d, n, n))), sigma,
+                                     name=draw(st.text(max_size=6)))
     return jsonio.dumps(obj)
 
 

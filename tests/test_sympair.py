@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -194,23 +193,6 @@ def test_exp_center_rejects_non_central():
     # i*E11 realified is odd but not central in i*Sym(2)
     with pytest.raises(sp.PairInputError):
         sp.central_odd_check(pair, non_central)
-
-
-def test_identity_component_heuristic():
-    z2 = fx.central_direction_u(2)
-    z3 = fx.central_direction_u(3)
-    minus_i2 = sp.exp_pair(fx.u_modulo_o_pair(2), z2, math.pi).rep
-    minus_i3 = sp.exp_pair(fx.u_modulo_o_pair(3), z3, math.pi).rep
-    h2 = dataclasses.replace(fx.u_modulo_o_pair(2),
-                             fixed_group_policy=sp.IDENTITY_COMPONENT_HEURISTIC)
-    h3 = dataclasses.replace(fx.u_modulo_o_pair(3),
-                             fixed_group_policy=sp.IDENTITY_COMPONENT_HEURISTIC)
-    # -I is a rotation inside O(2) but sits in the det = -1 sheet of O(3)
-    assert sp.in_fixed_group(h2, minus_i2)
-    assert not sp.in_fixed_group(h3, minus_i3)
-    # full fixed group accepts both
-    assert sp.in_fixed_group(fx.u_modulo_o_pair(2), minus_i2)
-    assert sp.in_fixed_group(fx.u_modulo_o_pair(3), minus_i3)
 
 
 def test_group_double_center_direction_is_central():
